@@ -3,8 +3,8 @@
 
 The tour of the evaluation service:
 
-1. start the HTTP service on an ephemeral port (in-process thread here;
-   ``python -m repro.service serve`` in production),
+1. start the HTTP service on an ephemeral port (its event loop on a
+   daemon thread here; ``python -m repro.service serve`` in production),
 2. POST evaluation requests — duplicates coalesce, results are
    content-addressed,
 3. fetch a stored result by hash and read the health counters,
@@ -17,7 +17,6 @@ Run with::
 """
 
 import json
-import threading
 import urllib.request
 
 from repro.service import EvaluationScheduler
@@ -47,11 +46,13 @@ def get(base: str, path: str) -> dict:
 
 
 def main() -> None:
-    # 1. Serve: ephemeral port, background dispatcher, one worker.
+    # 1. Serve: ephemeral port, background dispatcher, one worker; the
+    #    front end's loop runs on a daemon thread and keeps connections
+    #    alive.
     scheduler = EvaluationScheduler()
-    server = serve("127.0.0.1", 0, scheduler=scheduler)
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    frontend = serve("127.0.0.1", 0, scheduler=scheduler).start()
+    host, port = frontend.address
+    base = f"http://{host}:{port}"
     print(f"serving on {base}")
 
     # 2. Query: an energy evaluation and an area breakdown of Macro B.
@@ -79,9 +80,8 @@ def main() -> None:
     print(f"health: store hits {health['store']['hits']}, "
           f"scheduler {health['scheduler']}")
 
-    server.shutdown()
-    server.server_close()
     scheduler.close()
+    frontend.shutdown()
 
     # 4. Replay: 200 requests, 60% duplicates, 3 config families —
     #    coalesced through the scheduler vs the serial library baseline.

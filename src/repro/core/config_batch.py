@@ -460,8 +460,8 @@ def _family_term_keys(
         spec_columns = [column(field) for field in spec.effective_fields()]
         rendered: Dict[tuple, str] = {}
         keys: List[str] = []
-        for row in range(len(configs)):
-            sub = tuple(values[row] for values in spec_columns)
+        subs = zip(*spec_columns) if spec_columns else [()] * len(configs)
+        for sub in subs:
             key = rendered.get(sub)
             if key is None:
                 key = cache_key(spec, sub)
@@ -517,15 +517,17 @@ def _assemble_matrix(
     num_configs: int,
 ) -> np.ndarray:
     """Broadcast resolved term values into the ``(configs, actions)`` matrix."""
-    matrix = np.empty((num_configs, len(actions)), dtype=np.float64)
     action_col = {action: k for k, action in enumerate(actions)}
+    # Filled as Python lists and converted once: a NumPy scalar store per
+    # element costs several times a list store.
+    rows = [[0.0] * len(actions) for _ in range(num_configs)]
     for spec, keys in zip(specs, spec_keys):
         columns = [action_col[action] for action in spec.actions]
-        for row in range(num_configs):
-            values = resolved[keys[row]]
+        for row, key in zip(rows, keys):
+            values = resolved[key]
             for action, col in zip(spec.actions, columns):
-                matrix[row, col] = values[action]
-    return matrix
+                row[col] = values[action]
+    return np.array(rows, dtype=np.float64).reshape(num_configs, len(actions))
 
 
 def derive_config_batch(

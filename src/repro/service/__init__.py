@@ -16,9 +16,11 @@ Layers (one module each):
 * :mod:`repro.service.store` — the content-addressed result store
   (in-memory LRU + optional disk tier).
 * :mod:`repro.service.scheduler` — the coalescing batch scheduler.
-* :mod:`repro.service.http` — the stdlib HTTP front end
-  (``POST /evaluate``, ``POST /evaluate/batch``, ``GET /result/<hash>``,
-  ``GET /healthz``).
+* :mod:`repro.service.http` — the one HTTP front end of both
+  deployments (``POST /evaluate``, ``POST /evaluate/batch``,
+  ``GET /result/<hash>``, ``GET /healthz``): a single-threaded selectors
+  loop that keeps connections alive, over a backend that is either the
+  in-process scheduler or the shard fleet.
 * :mod:`repro.service.faults` — the failure taxonomy
   (retryable vs. permanent), retry backoff, and the circuit breaker.
 * :mod:`repro.service.chaos` — deterministic, seedable fault injection
@@ -26,10 +28,10 @@ Layers (one module each):
 * :mod:`repro.service.replay` — trace synthesis (uniform / diurnal /
   bursty / hotspot arrival shapes) and replay drivers (including
   ``--chaos`` and ``--shards`` replays).
-* :mod:`repro.service.shard` — the sharded deployment: a selectors-based
-  async front end routing request hashes over a consistent-hash ring to
-  N scheduler worker processes that share one disk result tier, with
-  live shard add/drain.
+* :mod:`repro.service.shard` — the sharded deployment: the same front
+  end routing request hashes over a consistent-hash ring to N scheduler
+  worker processes that share one disk result tier, with live shard
+  add/drain.
 * :mod:`repro.service.cli` — ``python -m repro.service``
   serve / submit / trace / replay (``serve --shards N`` serves the
   fleet).

@@ -5,7 +5,7 @@ Commands
 ``serve``
     Run the HTTP evaluation service (``--host``, ``--port``,
     ``--workers``; ``--port 0`` picks an ephemeral port and prints it).
-    ``--shards N`` serves the sharded deployment instead: the async
+    ``--shards N`` serves the sharded deployment instead: the same async
     front end routing over a consistent-hash ring to ``N`` scheduler
     worker processes sharing one disk result tier (``--store-dir``).
 ``submit``
@@ -136,57 +136,33 @@ def _cmd_serve(args) -> int:
     import signal
 
     if args.shards > 0:
-        return _cmd_serve_sharded(args)
+        from repro.service.shard import serve_sharded
 
-    from repro.service.http import EvaluationServiceHandler, serve
-    from repro.service.scheduler import EvaluationScheduler
+        frontend = serve_sharded(
+            host=args.host, port=args.port, shards=args.shards,
+            pool_workers=args.workers, store_dir=args.store_dir,
+            max_pending=args.max_pending,
+        )
+        mode, detail = " (sharded)", f"shards={args.shards}, pool_workers={args.workers}"
+    else:
+        from repro.service.http import serve
+        from repro.service.scheduler import EvaluationScheduler
 
-    EvaluationServiceHandler.verbose = args.verbose
-    scheduler = EvaluationScheduler(workers=args.workers, max_pending=args.max_pending)
-    server = serve(args.host, args.port, scheduler=scheduler)
-    host, port = server.server_address[:2]
-    print(f"repro.service listening on http://{host}:{port} "
-          f"(workers={args.workers})", file=sys.stderr)
-
-    # Graceful drain on SIGTERM (the fleet's stop signal): exit the serve
-    # loop like Ctrl-C does, then the shutdown path below stops accepting
-    # connections, lets the scheduler finish its queue, and fails any
-    # leftover waiter with ShutdownError instead of hanging it.
-    def _drain(signum, frame):  # noqa: ARG001 - signal API
-        raise KeyboardInterrupt
-
-    previous_sigterm = signal.signal(signal.SIGTERM, _drain)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("repro.service: shutdown signal received; draining in-flight "
-              "requests", file=sys.stderr)
-    finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
-        server.shutdown()
-        server.server_close()
-        scheduler.close()
-    return 0
-
-
-def _cmd_serve_sharded(args) -> int:
-    import signal
-
-    from repro.service.shard import serve_sharded
-
-    frontend = serve_sharded(
-        host=args.host, port=args.port, shards=args.shards,
-        pool_workers=args.workers, store_dir=args.store_dir,
-        max_pending=args.max_pending, verbose=args.verbose,
-    )
+        frontend = serve(args.host, args.port, scheduler=EvaluationScheduler(
+            workers=args.workers, max_pending=args.max_pending,
+        ))
+        mode, detail = "", f"workers={args.workers}"
+    frontend.verbose = args.verbose
+    backend = frontend.handler.backend
     host, port = frontend.address
-    print(f"repro.service (sharded) listening on http://{host}:{port} "
-          f"(shards={args.shards}, pool_workers={args.workers})",
+    print(f"repro.service{mode} listening on http://{host}:{port} ({detail})",
           file=sys.stderr)
 
-    # Same drain contract as the single-process server: SIGTERM exits the
-    # loop, then every shard drains (in-flight requests finish, queued
-    # slots get their final tick) before the process exits.
+    # Graceful drain on SIGTERM (the fleet's stop signal): exit the serve
+    # loop like Ctrl-C does, then let the backend finish its in-flight
+    # work (a closing scheduler fails any leftover waiter with
+    # ShutdownError instead of hanging it; a fleet drains every shard),
+    # send the replies that produced, and close the sockets.
     def _drain(signum, frame):  # noqa: ARG001 - signal API
         raise KeyboardInterrupt
 
@@ -194,12 +170,12 @@ def _cmd_serve_sharded(args) -> int:
     try:
         frontend.serve_forever()
     except KeyboardInterrupt:
-        print("repro.service: shutdown signal received; draining "
-              f"{len(frontend.fleet.members())} shards", file=sys.stderr)
+        print("repro.service: shutdown signal received; draining in-flight "
+              "requests", file=sys.stderr)
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
+        backend.close()
         frontend.shutdown()
-        frontend.fleet.close()
     return 0
 
 

@@ -48,11 +48,13 @@ Failure handling follows the taxonomy in :mod:`repro.service.faults`:
 Two consumption styles share the machinery: :meth:`submit` +
 :meth:`run_pending` give explicit control (the replay driver and tests
 tick by hand), while :meth:`start` runs a background dispatcher thread
-with a small coalescing window — the HTTP front end submits from handler
-threads and blocks on the returned future.  :meth:`close` drains the
-dispatcher and fails any still-unresolved future with
-:class:`~repro.service.faults.ShutdownError`; no waiter is ever left
-blocked.
+with a small coalescing window — the HTTP front end submits from its
+event loop and replies when the returned future resolves, reaching the
+scheduler only through :meth:`submit`, :meth:`result_lookup` and
+:meth:`health`, the same backend interface a shard fleet offers.
+:meth:`close` drains the dispatcher and fails any still-unresolved
+future with :class:`~repro.service.faults.ShutdownError`; no waiter is
+ever left blocked.
 """
 
 from __future__ import annotations
@@ -430,23 +432,25 @@ class EvaluationScheduler:
             self._wakeup.notify_all()
         return future
 
-    @property
-    def dispatching(self) -> bool:
-        """True while the background dispatcher thread is running."""
-        return self._thread is not None
+    def result_lookup(self, request_hash: str) -> "Future":
+        """The stored result of a hash (None if never computed), as a
+        resolved future: the front end's backend interface."""
+        future: Future = Future()
+        future.set_result(self.store.get(request_hash))
+        return future
 
     def evaluate(self, request: EvaluationRequest) -> Dict:
         """Submit one request and block for its result (inline dispatch
         when no background dispatcher is running)."""
         future = self.submit(request)
-        if not self.dispatching:
+        if self._thread is None:
             self.run_pending()
         return future.result()
 
     def evaluate_batch(self, requests: Sequence[EvaluationRequest]) -> List[Dict]:
         """Submit a whole batch, dispatch, and return results in order."""
         futures = [self.submit(request) for request in requests]
-        if not self.dispatching:
+        if self._thread is None:
             self.run_pending()
         return [future.result() for future in futures]
 

@@ -1,7 +1,8 @@
 """repro.service.shard — the evaluation service as a fleet.
 
 The single-process service (:mod:`repro.service`) is one coalescing
-scheduler behind one HTTP server; this package multiplies it:
+scheduler behind the async HTTP front end; this package puts N of them,
+each in its own process, behind that same front end:
 
 * :mod:`repro.service.shard.ring` — deterministic consistent-hash
   routing of request content hashes to shards, bounded remap on
@@ -13,12 +14,13 @@ scheduler behind one HTTP server; this package multiplies it:
   full scheduler each, fleet-shared disk result store), the parent-side
   :class:`ShardClient`, and the :class:`ShardFleet` with live
   add/drain.
-* :mod:`repro.service.shard.frontend` — the selectors-based async HTTP
-  front end: thousands of connections on one thread, same protocol as
-  the single-process server, plus fleet-management routes — and the
-  :class:`FleetSupervisor`: heartbeat failure detection, crash
-  recovery with in-flight re-dispatch, respawns under a restart
-  budget, and quorum-based :class:`FleetDegradedError` admission.
+* :mod:`repro.service.shard.frontend` — the fleet-management routes
+  (:class:`FleetServiceHandler`, served by the same selectors front end
+  as the single process, :class:`repro.service.http.AsyncFrontend`: one
+  thread, keep-alive connections, one fault table) and the
+  :class:`FleetSupervisor`: heartbeat failure detection, crash recovery
+  with in-flight re-dispatch, respawns under a restart budget, and
+  quorum-based :class:`FleetDegradedError` admission.
 
 Quickstart::
 
@@ -36,11 +38,11 @@ Quickstart::
 from repro.service.faults import FleetDegradedError
 from repro.service.shard.frontend import (
     AsyncFrontend,
+    FleetServiceHandler,
     FleetSupervisor,
     serve_sharded,
 )
 from repro.service.shard.protocol import (
-    FAULT_STATUS,
     HEARTBEAT_ID,
     READY_ID,
     FrameDecoder,
@@ -64,6 +66,7 @@ from repro.service.shard.worker import (
 
 __all__ = [
     "AsyncFrontend",
+    "FleetServiceHandler",
     "FleetSupervisor",
     "FleetDegradedError",
     "serve_sharded",
@@ -81,6 +84,5 @@ __all__ = [
     "FrameDecoder",
     "ProtocolError",
     "RemoteFault",
-    "FAULT_STATUS",
     "encode_frame",
 ]

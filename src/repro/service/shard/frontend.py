@@ -1,211 +1,95 @@
-"""Selectors-based async HTTP front end of the sharded evaluation service.
+"""Fleet routes and crash recovery of the sharded evaluation service.
 
-One thread, one :mod:`selectors` loop, no thread per socket: thousands of
-concurrent client connections each cost a registered file descriptor and
-a small parser state, not a stack.  The front end speaks the *same*
-HTTP/JSON protocol as the single-process server
-(:mod:`repro.service.http`) — request schema, error envelopes, fault
-status mapping — so clients cannot tell one process from a fleet, and
-adds the fleet-management routes:
+The fleet is served by the same front end as the single process
+(:class:`repro.service.http.AsyncFrontend`: one selectors thread,
+keep-alive connections, one fault table), so clients cannot tell one
+process from a fleet.  What is particular to the fleet lives here:
 
-* ``POST /evaluate`` / ``POST /evaluate/batch`` — validated locally
-  (malformed requests 400 without ever crossing a channel), then routed
-  by content hash over the consistent-hash ring to a shard worker.
-* ``GET /result/<hash>`` — content-addressed lookup on the owning shard
-  (whose store sees the fleet-shared disk tier).
-* ``GET /healthz`` — the **fleet** health: per-shard payloads merged
+* :class:`FleetServiceHandler` — the evaluation routes over a
+  :class:`ShardFleet` backend (requests are validated locally, so a
+  malformed one answers 400 without ever crossing a channel, then routed
+  by content hash over the consistent-hash ring), plus the
+  fleet-management routes:
+
+  * ``GET /shards`` and ``GET /shards/<id>/healthz`` — membership
+    listing and per-shard passthrough.
+  * ``POST /shards`` — live add: fork a worker, claim its ring points.
+  * ``POST /shards/<id>/drain`` — live drain: the shard leaves the ring
+    synchronously (new hashes remap before the 202 is sent), in-flight
+    work finishes in the background, final stats fold into the
+    aggregate.
+
+  ``GET /healthz`` is the **fleet** health: per-shard payloads merged
   into one aggregate (summed :class:`SchedulerStats` counters including
   retired shards, ring membership, drain state).
-* ``GET /shards`` and ``GET /shards/<id>/healthz`` — membership listing
-  and per-shard passthrough.
-* ``POST /shards`` — live add: fork a worker, claim its ring points.
-* ``POST /shards/<id>/drain`` — live drain: the shard leaves the ring
-  synchronously (new hashes remap before the 202 is sent), in-flight
-  work finishes in the background, final stats fold into the aggregate.
 
-Evaluation never blocks the loop: worker replies resolve futures on the
-shard reader threads, whose callbacks queue the finished response and
-wake the selector through a self-pipe.
-
-The :class:`FleetSupervisor` lives here too: a heartbeat-timeout failure
-detector plus crash recovery.  A shard whose beats stop (SIGKILL, hang,
-SIGSTOP — no EOF required) is declared dead within the configured
-timeout; its ring points are released, its tracked in-flight ops are
-**re-dispatched** to surviving shards under the same futures (safe:
-evaluation is deterministic and the shared disk store dedups), and a
-replacement worker is respawned under the same shard id — identical
-ring placement — while a restart budget and a quorum floor bound how
-much failure the fleet absorbs before refusing new work with
-:class:`~repro.service.faults.FleetDegradedError`.
+* :class:`FleetSupervisor` — a heartbeat-timeout failure detector plus
+  crash recovery.  A shard whose beats stop (SIGKILL, hang, SIGSTOP — no
+  EOF required) is declared dead within the configured timeout; its ring
+  points are released, its tracked in-flight ops are **re-dispatched**
+  to surviving shards under the same futures (safe: evaluation is
+  deterministic and the shared disk store dedups), and a replacement
+  worker is respawned under the same shard id — identical ring
+  placement — while a restart budget and a quorum floor bound how much
+  failure the fleet absorbs before refusing new work with
+  :class:`~repro.service.faults.FleetDegradedError`.
 """
 
 from __future__ import annotations
 
 import collections
-import json
-import math
 import os
-import selectors
-import socket
 import threading
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import InvalidStateError
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.service.faults import FleetDegradedError, env_positive_float
-from repro.service.http import MAX_BODY_BYTES, error_envelope
-from repro.service.requests import EvaluationRequest, ServiceError
+from repro.service.http import AsyncFrontend, EvaluationServiceHandler, Exchange
 from repro.service.shard.protocol import RemoteFault
-from repro.service.shard.ring import RingEmptyError
 from repro.service.shard.worker import ShardFleet
 
-#: Largest accepted HTTP header block (64 KiB).
-MAX_HEADER_BYTES = 64 << 10
 
-_REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable", 504: "Gateway Timeout",
-}
+class FleetServiceHandler(EvaluationServiceHandler):
+    """The evaluation routes over a :class:`ShardFleet`, plus ``/shards``."""
 
-
-class _BadRequest(Exception):
-    """A protocol-level client error; the connection is answered and closed."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-
-
-class _Connection:
-    """Parser + buffer state of one client socket."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.inbuf = bytearray()
-        self.outbuf = bytearray()
-        self.requests: "collections.deque" = collections.deque()
-        self.busy = False        # a request is being served (ordering)
-        self.closing = False     # close once outbuf drains
-        self.open = True
-        self._head: Optional[Tuple[str, str, Dict[str, str], int]] = None
-
-    def feed(self, data: bytes) -> List[Tuple[str, str, Dict[str, str], bytes]]:
-        """Incremental HTTP/1.x parsing: bytes in, complete requests out."""
-        self.inbuf.extend(data)
-        complete = []
-        while True:
-            if self._head is None:
-                split = self.inbuf.find(b"\r\n\r\n")
-                if split < 0:
-                    if len(self.inbuf) > MAX_HEADER_BYTES:
-                        raise _BadRequest(400, "request head too large")
-                    break
-                head = bytes(self.inbuf[:split]).decode("latin-1")
-                del self.inbuf[:split + 4]
-                self._head = _parse_head(head)
-            method, path, headers, length = self._head
-            if len(self.inbuf) < length:
-                break
-            body = bytes(self.inbuf[:length])
-            del self.inbuf[:length]
-            self._head = None
-            complete.append((method, path, headers, body))
-        return complete
-
-
-def _parse_head(head: str) -> Tuple[str, str, Dict[str, str], int]:
-    lines = head.split("\r\n")
-    parts = lines[0].split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise _BadRequest(400, f"malformed request line {lines[0]!r}")
-    method, path, version = parts
-    headers: Dict[str, str] = {"_version": version}
-    for line in lines[1:]:
-        if ":" not in line:
-            continue
-        name, value = line.split(":", 1)
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", 0))
-    except ValueError:
-        raise _BadRequest(400, "invalid Content-Length") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise _BadRequest(413, f"request body must be 0..{MAX_BODY_BYTES} bytes")
-    return method, path, headers, length
-
-
-def _keep_alive(headers: Dict[str, str]) -> bool:
-    connection = headers.get("connection", "").lower()
-    if headers.get("_version") == "HTTP/1.0":
-        return connection == "keep-alive"
-    return connection != "close"
-
-
-def fault_response(error: BaseException) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
-    """(status, envelope, headers) of a failed evaluation.
-
-    :class:`RemoteFault` carries its worker-side type name and status,
-    so the envelope a client sees is the same whether the fault happened
-    in-process (single server) or across a shard channel.
-    """
-    retry_after = getattr(error, "retry_after_s", None)
-    headers = (
-        {"Retry-After": str(max(int(math.ceil(retry_after)), 1))}
-        if retry_after is not None else None
-    )
-    if isinstance(error, RemoteFault):
-        envelope: Dict[str, object] = {
-            "error": {"type": error.remote_type, "message": str(error)}
-        }
-        if retry_after is not None:
-            envelope["error"]["retry_after_s"] = retry_after
-        return error.status, envelope, headers
-    if isinstance(error, ServiceError):
-        return 400, error_envelope(error), headers
-    if isinstance(error, (RingEmptyError, FleetDegradedError)):
-        return 503, error_envelope(error), headers
-    return 500, error_envelope(error), headers
-
-
-def _gather(futures: List) -> Future:
-    """One future resolving to every item's outcome, envelopes inline.
-
-    ``futures`` items may be :class:`Future` instances or exceptions
-    (submissions that failed synchronously); the aggregate resolves to a
-    list of result payloads / error envelopes in input order and never
-    raises.
-    """
-    aggregate: Future = Future()
-    slots: List[Optional[Dict]] = [None] * len(futures)
-    remaining = sum(1 for item in futures if isinstance(item, Future))
-    lock = threading.Lock()
-    for index, item in enumerate(futures):
-        if not isinstance(item, Future):
-            envelope = fault_response(item)[1]
-            slots[index] = envelope
-    if remaining == 0:
-        aggregate.set_result(list(slots))
-        return aggregate
-
-    def _finish(index: int, future: Future) -> None:
-        nonlocal remaining
-        try:
-            slots[index] = future.result()
-        except Exception as error:  # noqa: BLE001 - inline envelope
-            slots[index] = fault_response(error)[1]
-        with lock:
-            remaining -= 1
-            done = remaining == 0
-        if done:
-            aggregate.set_result(list(slots))
-
-    for index, item in enumerate(futures):
-        if isinstance(item, Future):
-            item.add_done_callback(
-                lambda future, i=index: _finish(i, future)
-            )
-    return aggregate
+    def _route(self, exchange: Exchange) -> None:
+        method, path = exchange.request.method, exchange.request.path
+        fleet: ShardFleet = self.backend
+        if method == "GET" and path == "/shards":
+            exchange.reply(200, {
+                "members": fleet.ring.members(),
+                "retired_shards": len(fleet.retired),
+            })
+        elif method == "GET" and path.startswith("/shards/") and path.endswith("/healthz"):
+            shard_id = path[len("/shards/"):-len("/healthz")]
+            try:
+                client = fleet.client_for(shard_id)
+            except ValueError as error:
+                exchange.reject(404, str(error))
+                return
+            self._respond_future(exchange, client.send_op("healthz"))
+        elif method == "POST" and path == "/shards":
+            # Live add: the fork + ready handshake happens on the loop
+            # thread — a brief pause for the fleet, not a correctness
+            # issue (the new worker only joins the ring once ready).
+            shard_id = fleet.add_shard()
+            exchange.reply(200, {"added": shard_id, "members": fleet.ring.members()})
+        elif method == "POST" and path.startswith("/shards/") and path.endswith("/drain"):
+            shard_id = path[len("/shards/"):-len("/drain")]
+            try:
+                fleet.begin_drain(shard_id)
+            except ValueError as error:
+                exchange.reject(404, str(error))
+                return
+            # The ring change is already visible; the wait-and-fold half
+            # runs off-loop so in-flight work never blocks the selector.
+            threading.Thread(
+                target=fleet.finish_drain, args=(shard_id,),
+                name=f"drain-{shard_id}", daemon=True,
+            ).start()
+            exchange.reply(202, {"draining": shard_id, "members": fleet.ring.members()})
+        else:
+            super()._route(exchange)
 
 
 HEARTBEAT_TIMEOUT_ENV = "REPRO_FLEET_HEARTBEAT_TIMEOUT_S"
@@ -483,409 +367,6 @@ class FleetSupervisor:
             }
 
 
-class AsyncFrontend:
-    """The selectors event loop fronting a :class:`ShardFleet`."""
-
-    def __init__(
-        self,
-        fleet: ShardFleet,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backlog: int = 1024,
-        verbose: bool = False,
-    ):
-        self.fleet = fleet
-        self.verbose = verbose
-        self._selector = selectors.DefaultSelector()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(backlog)
-        self._listener.setblocking(False)
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        self._selector.register(self._listener, selectors.EVENT_READ, "accept")
-        # Self-pipe: shard reader threads finish responses off-loop and
-        # wake the selector to write them out.
-        self._wake_read, self._wake_write = os.pipe()
-        os.set_blocking(self._wake_read, False)
-        os.set_blocking(self._wake_write, False)
-        self._selector.register(self._wake_read, selectors.EVENT_READ, "wake")
-        self._completed: "collections.deque" = collections.deque()
-        self._conns: Dict[socket.socket, _Connection] = {}
-        self._running = False
-        self._thread: Optional[threading.Thread] = None
-        self.requests_served = 0
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0`` ephemeral binds)."""
-        return self.address[1]
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "AsyncFrontend":
-        """Run the loop in a daemon thread (tests / embedded serving)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.serve_forever, name="repro-shard-frontend", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self._running = True
-        while self._running:
-            events = self._selector.select(timeout=0.5)
-            for key, mask in events:
-                if key.data == "accept":
-                    self._accept()
-                elif key.data == "wake":
-                    try:
-                        os.read(self._wake_read, 4096)
-                    except OSError:
-                        pass
-                else:
-                    conn: _Connection = key.data
-                    if mask & selectors.EVENT_READ:
-                        self._readable(conn)
-                    if conn.open and mask & selectors.EVENT_WRITE:
-                        self._writable(conn)
-            self._flush_completed()
-
-    def shutdown(self) -> None:
-        """Stop the loop and close every socket (the fleet stays up)."""
-        self._running = False
-        self._wake()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        for sock in list(self._conns):
-            self._close_conn(self._conns[sock])
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        self._listener.close()
-        os.close(self._wake_read)
-        os.close(self._wake_write)
-        self._selector.close()
-
-    def _wake(self) -> None:
-        try:
-            os.write(self._wake_write, b"\0")
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
-    # Socket plumbing
-    # ------------------------------------------------------------------
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except (BlockingIOError, OSError):
-                return
-            sock.setblocking(False)
-            conn = _Connection(sock)
-            self._conns[sock] = conn
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-
-    def _readable(self, conn: _Connection) -> None:
-        try:
-            data = conn.sock.recv(1 << 16)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._close_conn(conn)
-            return
-        if not data:
-            self._close_conn(conn)
-            return
-        try:
-            for request in conn.feed(data):
-                conn.requests.append(request)
-        except _BadRequest as error:
-            self._enqueue_response(
-                conn, error.status, error_envelope(ServiceError(str(error))),
-                None, close=True,
-            )
-            return
-        self._pump(conn)
-
-    def _writable(self, conn: _Connection) -> None:
-        try:
-            sent = conn.sock.send(bytes(conn.outbuf))
-        except BlockingIOError:
-            return
-        except OSError:
-            self._close_conn(conn)
-            return
-        del conn.outbuf[:sent]
-        if not conn.outbuf:
-            self._watch(conn, write=False)
-            if conn.closing:
-                self._close_conn(conn)
-
-    def _watch(self, conn: _Connection, write: bool) -> None:
-        if not conn.open:
-            return
-        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if write else 0)
-        try:
-            self._selector.modify(conn.sock, events, conn)
-        except (KeyError, ValueError):  # pragma: no cover - defensive
-            pass
-
-    def _close_conn(self, conn: _Connection) -> None:
-        if not conn.open:
-            return
-        conn.open = False
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-        self._conns.pop(conn.sock, None)
-
-    # ------------------------------------------------------------------
-    # Request handling
-    # ------------------------------------------------------------------
-    def _pump(self, conn: _Connection) -> None:
-        """Serve the connection's next parsed request, one at a time.
-
-        Responses go out in request order because a new request is only
-        picked up after the previous response was enqueued.
-        """
-        if conn.busy or conn.closing or not conn.requests:
-            return
-        conn.busy = True
-        method, path, headers, body = conn.requests.popleft()
-        keep = _keep_alive(headers)
-        try:
-            self._route(conn, method, path, body, keep)
-        except _BadRequest as error:
-            self._enqueue_response(
-                conn, error.status, error_envelope(ServiceError(str(error))),
-                None, close=True,
-            )
-        except Exception as error:  # noqa: BLE001 - never kill the loop
-            status, envelope, extra = fault_response(error)
-            self._enqueue_response(conn, status, envelope, extra, close=not keep)
-
-    def _route(self, conn: _Connection, method: str, path: str,
-               body: bytes, keep: bool) -> None:
-        if self.verbose:
-            import sys
-
-            print(f"frontend: {method} {path}", file=sys.stderr)
-        if method == "GET":
-            self._route_get(conn, path, keep)
-            return
-        if method != "POST":
-            raise _BadRequest(405, f"method {method} not supported")
-        if path == "/evaluate":
-            payload = _parse_json(body)
-            request = EvaluationRequest.from_dict(payload)
-            future = self.fleet.submit(request)
-            self._respond_future(conn, future, keep)
-            return
-        if path == "/evaluate/batch":
-            payload = _parse_json(body)
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("requests"), list
-            ):
-                raise ServiceError('batch body must be {"requests": [...]}')
-            futures: List = []
-            for entry in payload["requests"]:
-                # Per-entry failures (validation or routing) become inline
-                # envelopes: one bad request never sinks its batch.
-                try:
-                    futures.append(self.fleet.submit(
-                        EvaluationRequest.from_dict(entry)
-                    ))
-                except Exception as error:  # noqa: BLE001 - inline envelope
-                    futures.append(error)
-            aggregate = _gather(futures)
-            self._respond_future(
-                conn, aggregate, keep,
-                shape=lambda results: {"results": results},
-            )
-            return
-        if path == "/shards":
-            # Live add: the fork + ready handshake happens on the loop
-            # thread — a brief pause for the fleet, not a correctness
-            # issue (the new worker only joins the ring once ready).
-            shard_id = self.fleet.add_shard()
-            self._enqueue_response(conn, 200, {
-                "added": shard_id, "members": self.fleet.ring.members(),
-            }, None, close=not keep)
-            return
-        if path.startswith("/shards/") and path.endswith("/drain"):
-            shard_id = path[len("/shards/"):-len("/drain")]
-            try:
-                self.fleet.begin_drain(shard_id)
-            except ValueError as error:
-                raise _BadRequest(404, str(error)) from None
-            # The ring change is already visible; the wait-and-fold half
-            # runs off-loop so in-flight work never blocks the selector.
-            threading.Thread(
-                target=self.fleet.finish_drain, args=(shard_id,),
-                name=f"drain-{shard_id}", daemon=True,
-            ).start()
-            self._enqueue_response(conn, 202, {
-                "draining": shard_id, "members": self.fleet.ring.members(),
-            }, None, close=not keep)
-            return
-        raise _BadRequest(404, f"unknown route {path!r}")
-
-    def _route_get(self, conn: _Connection, path: str, keep: bool) -> None:
-        if path == "/healthz":
-            # Merged off-loop: per-shard healthz ops block on worker
-            # replies, which must not stall client accepts.
-            def _collect():
-                payload = self.fleet.health()
-                payload["frontend"] = {
-                    "connections": len(self._conns),
-                    "requests_served": self.requests_served,
-                }
-                return payload
-
-            self._respond_future(conn, _call_async(_collect), keep)
-            return
-        if path == "/shards":
-            self._enqueue_response(conn, 200, {
-                "members": self.fleet.ring.members(),
-                "retired_shards": len(self.fleet.retired),
-            }, None, close=not keep)
-            return
-        if path.startswith("/shards/") and path.endswith("/healthz"):
-            shard_id = path[len("/shards/"):-len("/healthz")]
-            try:
-                client = self.fleet.client_for(shard_id)
-            except ValueError as error:
-                raise _BadRequest(404, str(error)) from None
-            self._respond_future(conn, client.send_op("healthz"), keep)
-            return
-        if path.startswith("/result/"):
-            request_hash = path[len("/result/"):]
-            if len(request_hash) != 64 or any(
-                c not in "0123456789abcdef" for c in request_hash
-            ):
-                raise _BadRequest(404, f"{request_hash!r} is not a request hash")
-            future = self.fleet.result_lookup(request_hash)
-            self._respond_future(
-                conn, future, keep,
-                shape=lambda result: result,
-                missing_status=404,
-                missing=error_envelope(ServiceError(
-                    f"no stored result for hash {request_hash!r}"
-                )),
-            )
-            return
-        raise _BadRequest(404, f"unknown route {path!r}")
-
-    # ------------------------------------------------------------------
-    # Responses
-    # ------------------------------------------------------------------
-    def _respond_future(
-        self,
-        conn: _Connection,
-        future: Future,
-        keep: bool,
-        shape=None,
-        missing_status: int = 200,
-        missing: Optional[Dict] = None,
-    ) -> None:
-        """Queue the HTTP response when a future resolves (off-loop safe)."""
-
-        def _finish(done: Future) -> None:
-            try:
-                result = done.result()
-            except Exception as error:  # noqa: BLE001 - envelope + status
-                status, envelope, extra = fault_response(error)
-                self._enqueue_response(conn, status, envelope, extra,
-                                       close=not keep)
-                return
-            if result is None and missing is not None:
-                self._enqueue_response(conn, missing_status, missing, None,
-                                       close=not keep)
-                return
-            payload = shape(result) if shape is not None else result
-            self._enqueue_response(conn, 200, payload, None, close=not keep)
-
-        future.add_done_callback(_finish)
-
-    def _enqueue_response(
-        self,
-        conn: _Connection,
-        status: int,
-        payload: Dict,
-        headers: Optional[Dict[str, str]],
-        close: bool,
-    ) -> None:
-        """Thread-safe: queue one finished response and wake the loop."""
-        self._completed.append((conn, status, payload, headers, close))
-        self._wake()
-
-    def _flush_completed(self) -> None:
-        while self._completed:
-            conn, status, payload, headers, close = self._completed.popleft()
-            if not conn.open:
-                continue
-            conn.outbuf.extend(_http_response(status, payload, headers, close))
-            conn.busy = False
-            conn.closing = conn.closing or close
-            self.requests_served += 1
-            # Try an eager write; fall back to EVENT_WRITE for the rest.
-            self._writable(conn)
-            if conn.open and conn.outbuf:
-                self._watch(conn, write=True)
-            if conn.open and not conn.closing:
-                self._pump(conn)
-
-
-def _call_async(function) -> Future:
-    """Run a blocking callable on a helper thread, resolve a future."""
-    future: Future = Future()
-
-    def _run() -> None:
-        try:
-            future.set_result(function())
-        except Exception as error:  # noqa: BLE001 - delivered to waiter
-            future.set_exception(error)
-
-    threading.Thread(target=_run, daemon=True).start()
-    return future
-
-
-def _parse_json(body: bytes):
-    try:
-        return json.loads(body.decode("utf-8", errors="replace") or "null")
-    except ValueError as error:
-        raise ServiceError(f"invalid JSON: {error}") from None
-
-
-def _http_response(
-    status: int,
-    payload: Dict,
-    headers: Optional[Dict[str, str]],
-    close: bool,
-) -> bytes:
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    lines = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'close' if close else 'keep-alive'}",
-    ]
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
 def serve_sharded(
     host: str = "127.0.0.1",
     port: int = 8080,
@@ -893,17 +374,17 @@ def serve_sharded(
     pool_workers: int = 1,
     store_dir: Optional[str] = None,
     max_pending: Optional[int] = None,
-    verbose: bool = False,
     fleet: Optional[ShardFleet] = None,
     supervise: bool = True,
 ) -> AsyncFrontend:
     """Bind the sharded service (``port=0`` picks an ephemeral port).
 
     The caller owns both loops: ``frontend.serve_forever()`` (the CLI
-    does) or ``frontend.start()`` from tests, then ``shutdown()`` and
-    ``fleet.close()`` when done.  Unless ``supervise`` is off, a
-    :class:`FleetSupervisor` is attached (env-tuned) so shard crashes
-    self-heal instead of stranding in-flight requests.
+    does) or ``frontend.start()`` from tests, then ``fleet.close()`` and
+    ``shutdown()`` when done (the fleet is ``frontend.handler.backend``).
+    Unless ``supervise`` is off, a :class:`FleetSupervisor` is attached
+    (env-tuned) so shard crashes self-heal instead of stranding in-flight
+    requests.
     """
     fleet = fleet if fleet is not None else ShardFleet(
         shards=shards, pool_workers=pool_workers,
@@ -911,4 +392,4 @@ def serve_sharded(
     )
     if supervise and fleet.supervisor is None:
         FleetSupervisor(fleet).start()
-    return AsyncFrontend(fleet, host=host, port=port, verbose=verbose)
+    return AsyncFrontend(FleetServiceHandler(fleet), host=host, port=port)

@@ -32,10 +32,10 @@ within the configured heartbeat timeout.
 
 Worker-side exceptions cross the channel by *name*: the worker
 serialises the exception type, message, and any ``retry_after_s``
-backpressure hint, and the parent rebuilds a :class:`RemoteFault` whose
-HTTP status comes from :data:`FAULT_STATUS` — the same taxonomy mapping
-the single-process front end applies directly
-(:func:`repro.service.http.fault_status`).
+backpressure hint, and the parent rebuilds a :class:`RemoteFault` that
+the front end answers by that name, from the same status table an
+in-process fault is looked up in
+(:data:`repro.service.http.FAULT_STATUS`).
 """
 
 from __future__ import annotations
@@ -59,19 +59,6 @@ READY_ID = -1
 #: The correlation id of the worker's unsolicited periodic heartbeat.
 HEARTBEAT_ID = -2
 
-#: HTTP statuses of faults crossing the channel by type name — mirrors
-#: :func:`repro.service.http.fault_status` plus the 400 of a request
-#: that failed validation inside the worker.
-FAULT_STATUS = {
-    "QueueFullError": 429,
-    "DeadlineExceeded": 504,
-    "ShutdownError": 503,
-    "CircuitOpenError": 503,
-    "FleetDegradedError": 503,
-    "ServiceError": 400,
-    "ProtocolError": 500,
-}
-
 
 class ProtocolError(FaultError):
     """A malformed frame on the worker channel (desynced or hostile).
@@ -86,9 +73,8 @@ class ProtocolError(FaultError):
 class RemoteFault(FaultError):
     """A worker-side failure rebuilt on the parent side of the channel.
 
-    Carries the original exception's type name (``remote_type``), its
-    ``retry_after_s`` backpressure hint when one crossed the channel,
-    and the HTTP ``status`` the front end should serve.
+    Carries the original exception's type name (``remote_type``) and
+    its ``retry_after_s`` backpressure hint when one crossed the channel.
     """
 
     def __init__(
@@ -100,7 +86,6 @@ class RemoteFault(FaultError):
         super().__init__(message)
         self.remote_type = remote_type
         self.retry_after_s = retry_after_s
-        self.status = FAULT_STATUS.get(remote_type, 500)
 
 
 def encode_frame(message: Dict) -> bytes:

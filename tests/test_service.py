@@ -5,13 +5,18 @@ canonicalisation (key order / whitespace / omitted defaults are
 identity-preserving), the content-addressed result store (memory LRU +
 disk round trip), scheduler coalescing (N duplicates -> one evaluation,
 distinct configs grouped into one family dispatch, store short-circuit),
-and an end-to-end HTTP smoke test against an ephemeral port.
+and an end-to-end HTTP smoke test against an ephemeral port, including
+the real ``python -m repro.service serve`` command.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -409,16 +414,13 @@ class TestHTTPService:
         from repro.service.http import serve
 
         scheduler = EvaluationScheduler(coalesce_window_s=0.001)
-        server = serve("127.0.0.1", 0, scheduler=scheduler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = serve("127.0.0.1", 0, scheduler=scheduler).start()
         yield server
-        server.shutdown()
-        server.server_close()
         scheduler.close()
+        server.shutdown()
 
     def _post(self, server, path, payload):
-        port = server.server_address[1]
+        port = server.port
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}{path}",
             data=json.dumps(payload).encode("utf-8"),
@@ -432,7 +434,7 @@ class TestHTTPService:
             return error.code, json.loads(error.read())
 
     def _get(self, server, path):
-        port = server.server_address[1]
+        port = server.port
         try:
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}{path}", timeout=120
@@ -488,7 +490,11 @@ class TestHTTPService:
         status, payload = self._get(server, "/bogus")
         assert status == 404 and "error" in payload
 
-        port = server.server_address[1]
+        # Fleet management exists only on a fleet.
+        status, payload = self._get(server, "/shards")
+        assert status == 404 and "error" in payload
+
+        port = server.port
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}/evaluate", data=b"not json{",
             headers={"Content-Type": "application/json"}, method="POST",
@@ -496,3 +502,90 @@ class TestHTTPService:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=120)
         assert excinfo.value.code == 400
+
+
+def _subprocess_env():
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return env
+
+
+class TestServeCommand:
+    """``python -m repro.service serve`` as a user runs it."""
+
+    def test_single_process_serving_loads_no_shard_code(self):
+        code = (
+            "import sys\n"
+            "from repro.service.cli import main\n"
+            "from repro.service.http import serve\n"
+            "from repro.service.scheduler import EvaluationScheduler\n"
+            "scheduler = EvaluationScheduler()\n"
+            "frontend = serve('127.0.0.1', 0, scheduler=scheduler)\n"
+            "scheduler.close()\n"
+            "frontend.shutdown()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.service.shard')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_keep_alive_store_hits_and_sigterm_drain(self):
+        import http.client
+        import queue
+        import re
+        import signal
+        import time
+
+        env = _subprocess_env()
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve", "--port", "0"],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+        )
+        lines: "queue.Queue" = queue.Queue()
+
+        def _read_stderr():
+            for line in process.stderr:
+                lines.put(line)
+            lines.put(None)
+
+        threading.Thread(target=_read_stderr, daemon=True).start()
+        try:
+            port = None
+            while port is None:
+                line = lines.get(timeout=120)
+                assert line is not None, "serve exited before listening"
+                match = re.search(r"listening on http://127\.0\.0\.1:(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+            body = json.dumps({"macro": "base_macro", "workload": "mvm_32x32"})
+            headers = {"Content-Type": "application/json"}
+            connection.request("POST", "/evaluate", body=body, headers=headers)
+            response = connection.getresponse()
+            first = response.read()
+            assert response.status == 200
+            sock = connection.sock
+
+            # Store hits over one kept-alive connection: a per-call
+            # delayed-ACK stall (~40 ms) would take at least 4 s.
+            start = time.perf_counter()
+            for _ in range(100):
+                connection.request("POST", "/evaluate", body=body, headers=headers)
+                response = connection.getresponse()
+                assert response.status == 200
+                assert response.read() == first
+            elapsed = time.perf_counter() - start
+            assert connection.sock is sock  # never reconnected
+            assert elapsed < 1.0, f"100 store hits took {elapsed:.2f} s"
+            connection.close()
+
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)

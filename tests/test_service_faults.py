@@ -9,16 +9,16 @@ backoff, the scalar-oracle rescue, deadlines, bounded-queue admission
 control, shutdown semantics of :meth:`EvaluationScheduler.close`,
 corruption quarantine in the result store and disk energy cache,
 graceful shared-slab degradation, the deterministic chaos injector, and
-the HTTP front end's fault-to-status mapping (429/503/504 +
-``Retry-After``).
+the HTTP front end's fault-to-status mapping (400/429/503/504/500 +
+``Retry-After``), identical from a single process and from a fleet.
 """
 
 import json
 import struct
-import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
 import pytest
 
@@ -40,7 +40,15 @@ from repro.service import (
     is_retryable,
 )
 from repro.service.chaos import ChaosError
-from repro.service.faults import backoff_s
+from repro.service.faults import FleetDegradedError, backoff_s
+from repro.service.shard import (
+    FrameDecoder,
+    RingEmptyError,
+    ShardFleet,
+    encode_frame,
+    serve_sharded,
+)
+from repro.service.shard.protocol import fault_message, remote_fault
 
 
 def _request(**kwargs):
@@ -523,26 +531,81 @@ class TestChaos:
 
 
 # ----------------------------------------------------------------------
-# HTTP fault mapping
+# HTTP fault mapping, for both deployments
 # ----------------------------------------------------------------------
+#: (fault, status, Retry-After header) — one answer per failure, whether
+#: a single process or a fleet serves it.
+FAULT_ANSWERS = [
+    (QueueFullError("queue full", retry_after_s=3.0), 429, "3"),
+    (CircuitOpenError("family short-circuited", retry_after_s=2.5), 503, "3"),
+    (FleetDegradedError("below quorum", retry_after_s=5.0), 503, "5"),
+    (ShutdownError("scheduler is shut down"), 503, None),
+    (RingEmptyError("no shard is serving"), 503, None),
+    (DeadlineExceeded("missed deadline"), 504, None),
+    (ServiceError("unknown macro"), 400, None),
+    (RuntimeError("evaluation blew up"), 500, None),
+]
+
+FAILURE_COUNTERS = ("retries", "fallbacks", "scalar_fallbacks", "deadline_expired",
+                    "queue_sheds", "breaker_trips", "breaker_short_circuits",
+                    "pool_rebuilds")
+
+
+def _refuse(error):
+    """A scheduler refuses at submission: the fault is raised."""
+    raise error
+
+
+def _from_shard(error):
+    """A shard reports the fault over its channel: serialised by type
+    name, framed, decoded and rebuilt on the parent side."""
+    [message] = FrameDecoder().feed(encode_frame(fault_message(1, error)))
+    future = Future()
+    future.set_exception(remote_fault(message["error"]))
+    return future
+
+
+class _Served:
+    """A running front end whose backend's submits can be made to fail
+    the way that backend delivers faults."""
+
+    def __init__(self, frontend, deliver):
+        self.frontend = frontend
+        self.backend = frontend.handler.backend
+        self._deliver = deliver
+
+    def fail_submits(self, error, nth=None):
+        """Fail every submit with ``error``, or only the ``nth`` (1-based)."""
+        submit, calls = self.backend.submit, []
+
+        def failing(request):
+            calls.append(request)
+            if nth is None or len(calls) == nth:
+                return self._deliver(error)
+            return submit(request)
+
+        self.backend.submit = failing
+
+    def restore(self):
+        vars(self.backend).pop("submit", None)
+
+
 class TestHTTPFaultMapping:
+    """Faults of the single-process service (an in-process scheduler)."""
+
     @pytest.fixture()
-    def server(self):
+    def served(self):
         from repro.service.http import serve
 
         scheduler = EvaluationScheduler(coalesce_window_s=0.001)
-        server = serve("127.0.0.1", 0, scheduler=scheduler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
+        frontend = serve("127.0.0.1", 0, scheduler=scheduler).start()
+        yield _Served(frontend, _refuse)
         scheduler.close()
+        frontend.shutdown()
 
-    def _post(self, server, path, payload):
-        port = server.server_address[1]
+    def _post(self, served, path, payload):
         request = urllib.request.Request(
-            f"http://127.0.0.1:{port}{path}",
+            f"http://127.0.0.1:{served.frontend.port}{path}",
             data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -554,52 +617,57 @@ class TestHTTPFaultMapping:
         except urllib.error.HTTPError as error:
             return error.code, dict(error.headers), json.loads(error.read())
 
-    def test_queue_full_maps_to_429_with_retry_after(self, server):
-        def shed(request):
-            raise QueueFullError("queue full", retry_after_s=3.0)
+    def _healthz(self, served):
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{served.frontend.port}/healthz", timeout=120
+        ) as response:
+            return json.loads(response.read())
 
-        server.scheduler.submit = shed
+    @pytest.mark.parametrize(
+        "error, status, retry_after", FAULT_ANSWERS,
+        ids=[type(error).__name__ for error, _, _ in FAULT_ANSWERS],
+    )
+    def test_every_fault_gets_its_status_envelope_and_header(
+        self, served, error, status, retry_after
+    ):
+        served.fail_submits(error)
+        got, headers, payload = self._post(served, "/evaluate", {"workload": "mvm_32x32"})
+        assert got == status
+        assert headers.get("Retry-After") == retry_after
+        expected = {"type": type(error).__name__, "message": str(error)}
+        if retry_after is not None:
+            expected["retry_after_s"] = error.retry_after_s
+        assert payload == {"error": expected}
+
+    def test_queue_full_maps_to_429_with_retry_after(self, served):
+        served.fail_submits(QueueFullError("queue full", retry_after_s=3.0))
         status, headers, payload = self._post(
-            server, "/evaluate", {"workload": "mvm_32x32"}
+            served, "/evaluate", {"workload": "mvm_32x32"}
         )
         assert status == 429
         assert headers.get("Retry-After") == "3"
         assert payload["error"]["type"] == "QueueFullError"
         assert payload["error"]["retry_after_s"] == 3.0
 
-    def test_shutdown_maps_to_503_and_deadline_to_504(self, server):
-        def closed(request):
-            raise ShutdownError("scheduler is shut down")
-
-        server.scheduler.submit = closed
+    def test_shutdown_maps_to_503_and_deadline_to_504(self, served):
+        served.fail_submits(ShutdownError("scheduler is shut down"))
         status, _, payload = self._post(
-            server, "/evaluate", {"workload": "mvm_32x32"}
+            served, "/evaluate", {"workload": "mvm_32x32"}
         )
         assert status == 503
         assert payload["error"]["type"] == "ShutdownError"
 
-        def late(request):
-            raise DeadlineExceeded("missed deadline")
-
-        server.scheduler.submit = late
+        served.restore()
+        served.fail_submits(DeadlineExceeded("missed deadline"))
         status, _, payload = self._post(
-            server, "/evaluate", {"workload": "mvm_32x32"}
+            served, "/evaluate", {"workload": "mvm_32x32"}
         )
         assert status == 504
 
-    def test_batch_inlines_shed_requests(self, server):
-        real_submit = type(server.scheduler).submit
-        calls = {"n": 0}
-
-        def shed_second(request):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise QueueFullError("queue full", retry_after_s=1.0)
-            return real_submit(server.scheduler, request)
-
-        server.scheduler.submit = shed_second
+    def test_batch_inlines_shed_requests(self, served):
+        served.fail_submits(QueueFullError("queue full", retry_after_s=1.0), nth=2)
         status, _, payload = self._post(
-            server, "/evaluate/batch",
+            served, "/evaluate/batch",
             {"requests": [
                 {"workload": "mvm_32x32"},
                 {"workload": "mvm_32x32", "overrides": {"adc_resolution": 5}},
@@ -610,17 +678,70 @@ class TestHTTPFaultMapping:
         results = payload["results"]
         assert "summary" in results[0] and "summary" in results[2]
         assert results[1]["error"]["type"] == "QueueFullError"
+        assert results[1]["error"]["retry_after_s"] == 1.0
 
-    def test_healthz_exposes_failure_counters(self, server):
-        port = server.server_address[1]
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/healthz", timeout=120
-        ) as response:
-            health = json.loads(response.read())
-        stats = health["scheduler"]
-        for counter in ("retries", "fallbacks", "scalar_fallbacks",
-                        "deadline_expired", "queue_sheds", "breaker_trips",
-                        "breaker_short_circuits", "pool_rebuilds"):
-            assert counter in stats
+    def test_oversized_body_is_413(self, served):
+        import http.client
+
+        from repro.service.http import MAX_BODY_BYTES
+
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", served.frontend.port, timeout=120
+        )
+        try:
+            connection.putrequest("POST", "/evaluate")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+            assert json.loads(response.read())["error"]["type"] == "ServiceError"
+        finally:
+            connection.close()
+
+    def test_malformed_request_is_answered_after_the_one_before_it(self, served):
+        import socket
+
+        # Both requests reach the server in one segment: the valid one
+        # still gets its own reply, then the 400, then the close.
+        with socket.create_connection(("127.0.0.1", served.frontend.port), timeout=120) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\nNOT-HTTP\r\n\r\n")
+            replies = b""
+            while chunk := sock.recv(1 << 16):
+                replies += chunk
+        first, second = replies.split(b"HTTP/1.1 ")[1:]
+        assert first.startswith(b"200 ") and b"Connection: keep-alive" in first
+        assert second.startswith(b"400 ") and b"Connection: close" in second
+
+    def test_healthz_exposes_failure_counters(self, served):
+        health = self._healthz(served)
+        for counter in FAILURE_COUNTERS:
+            assert counter in health["scheduler"]
         assert "breakers" in health
+        assert "corrupt_entries" in health["store"]
+
+
+class TestFleetHTTPFaultMapping(TestHTTPFaultMapping):
+    """The same faults from a one-shard fleet, crossing the shard channel
+    by name: every one must get the single process's answer."""
+
+    @pytest.fixture(scope="class")
+    def fleet_frontend(self, tmp_path_factory):
+        fleet = ShardFleet(shards=1, store_dir=str(tmp_path_factory.mktemp("faults")))
+        frontend = serve_sharded(fleet=fleet, port=0, supervise=False).start()
+        yield frontend
+        fleet.close()
+        frontend.shutdown()
+
+    @pytest.fixture()
+    def served(self, fleet_frontend):
+        served = _Served(fleet_frontend, _from_shard)
+        yield served
+        served.restore()
+
+    def test_healthz_exposes_failure_counters(self, served):
+        health = self._healthz(served)
+        for counter in FAILURE_COUNTERS:
+            assert counter in health["scheduler"]
+        assert all("breakers" in shard for shard in health["shards"].values())
         assert "corrupt_entries" in health["store"]

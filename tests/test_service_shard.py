@@ -2,8 +2,8 @@
 
 Covers the channel protocol units (framing, incremental decode, fault
 serialisation), the fleet end to end against the scalar oracle, the
-zero-loss drain contract under load, live shard add, and the selectors
-front end speaking the single-process server's HTTP protocol.
+zero-loss drain contract under load, live shard add, and the shared
+selectors front end serving the fleet's routes.
 """
 
 import json
@@ -14,15 +14,16 @@ import urllib.request
 
 import pytest
 
+from repro.service.http import error_status
 from repro.service.requests import EvaluationRequest
 from repro.service.scheduler import evaluate_scalar
 from repro.service.shard import (
-    AsyncFrontend,
     FrameDecoder,
     ProtocolError,
     RemoteFault,
     ShardFleet,
     encode_frame,
+    serve_sharded,
 )
 from repro.service.shard.protocol import fault_message, remote_fault
 
@@ -78,10 +79,10 @@ class TestFraming:
         assert isinstance(rebuilt, RemoteFault)
         assert rebuilt.remote_type == "QueueFullError"
         assert rebuilt.retry_after_s == 1.5
-        assert rebuilt.status == 429
+        assert error_status(rebuilt) == 429
 
     def test_unknown_fault_type_maps_to_500(self):
-        assert remote_fault({"type": "WeirdError", "message": "?"}).status == 500
+        assert error_status(remote_fault({"type": "WeirdError", "message": "?"})) == 500
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +128,7 @@ class TestShardFleet:
         with pytest.raises(RemoteFault) as excinfo:
             future.result(timeout=30)
         assert excinfo.value.remote_type == "ServiceError"
-        assert excinfo.value.status == 400
+        assert error_status(excinfo.value) == 400
 
     def test_unknown_op_is_a_service_error(self, fleet):
         client = fleet.client_for(fleet.members()[0])
@@ -210,7 +211,7 @@ class TestDrainAndAdd:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def frontend(fleet):
-    frontend = AsyncFrontend(fleet, host="127.0.0.1", port=0).start()
+    frontend = serve_sharded(fleet=fleet, port=0, supervise=False).start()
     yield frontend
     frontend.shutdown()
 
@@ -337,7 +338,7 @@ class TestAsyncFrontend:
 
     def test_http_drain_and_add_cycle(self, tmp_path):
         fleet = ShardFleet(shards=2, store_dir=str(tmp_path))
-        frontend = AsyncFrontend(fleet, host="127.0.0.1", port=0).start()
+        frontend = serve_sharded(fleet=fleet, port=0, supervise=False).start()
         try:
             victim = fleet.members()[0]
             status, body = _call(frontend, "POST", f"/shards/{victim}/drain")
