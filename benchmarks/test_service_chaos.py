@@ -2,13 +2,15 @@
 
 The acceptance gate of the fault-tolerance layer (`repro.service.faults`
 / `repro.service.chaos`): the same 1000-request trace the throughput
-benchmark replays must complete under the standard chaos preset — killed
-pool workers, injected transient dispatch failures, corrupted store
-entries, slow dispatches — with **100% eventually-correct results**
-(request for request, equal to the fault-free replay), no hung futures,
-and bounded retry amplification (evaluated slot-attempts <= 1.5x the
-requests actually dispatched).  The full run writes a
-``BENCH_service_chaos.json`` resilience record at the repo root.
+benchmark replays must complete under the standard chaos preset —
+injected transient dispatch failures, corrupted store entries, slow
+dispatches — with **100% eventually-correct results** (request for
+request, equal to the fault-free replay), no hung futures, and bounded
+retry amplification (evaluated slot-attempts <= 1.5x the requests
+actually dispatched).  At full size the faults must also cost time:
+the chaos rounds may not beat the fault-free reference.  The full run
+writes a ``BENCH_service_chaos.json`` resilience record at the repo
+root.
 
 ``SERVICE_CHAOS_REQUESTS`` overrides the trace length (CI smoke runs use
 a short one, which asserts correctness-under-faults on every push
@@ -37,10 +39,6 @@ FULL_SIZE = NUM_REQUESTS >= DEFAULT_REQUESTS
 #: onto the approximate scalar oracle — is a ~1e-5 event per dispatch.
 TRACE_MAX_RETRIES = 5
 
-#: Two pool workers so the worker-kill injector has real victims and the
-#: supervised rebuild path is exercised, not skipped.
-WORKERS = 2
-
 #: Smaller arrival windows than the throughput benchmark: more dispatch
 #: ticks means more per-dispatch injection rolls over the same trace.
 WINDOW = 32
@@ -55,13 +53,11 @@ def test_service_chaos_replay(benchmark, tmp_path):
     ]
     profile = trace_profile(trace)
 
-    # Fault-free reference replay (same workers, same window, cold cache).
+    # Fault-free reference replay (same window, cold cache).
     from repro.core.batch import process_energy_cache
 
     process_energy_cache().invalidate()
-    clean_results, clean_s, _, _ = replay_coalesced(
-        trace, workers=WORKERS, window=WINDOW
-    )
+    clean_results, clean_s, _, _ = replay_coalesced(trace, window=WINDOW)
 
     state = {}
 
@@ -75,7 +71,7 @@ def test_service_chaos_replay(benchmark, tmp_path):
         state["round"] = state.get("round", 0) + 1
         store = ResultStore(directory=directory)
         results, elapsed, scheduler, _ = replay_coalesced(
-            trace, workers=WORKERS, window=WINDOW, store=store, chaos=chaos
+            trace, window=WINDOW, store=store, chaos=chaos
         )
         state.update(chaos=chaos, store=store, scheduler=scheduler)
         return results, elapsed
@@ -123,6 +119,13 @@ def test_service_chaos_replay(benchmark, tmp_path):
         assert injected["injected_corruptions"] > 0
         assert store.corrupt_entries > 0
 
+    # Gate 5 (full size): both sides are cold, so the injected sleeps,
+    # retries and recomputes may only cost time.  A chaos round beating
+    # the clean reference means one side's timed window is wrong.
+    slowdown = chaos_s / clean_s
+    if FULL_SIZE:
+        assert slowdown >= 1.0
+
     record = {
         "benchmark": "service_chaos",
         "requests": len(trace),
@@ -131,7 +134,7 @@ def test_service_chaos_replay(benchmark, tmp_path):
         "clean_wall_s": clean_s,
         "chaos_wall_s": chaos_s,
         "chaos_requests_per_s": len(trace) / chaos_s,
-        "slowdown_vs_clean": chaos_s / clean_s,
+        "slowdown_vs_clean": slowdown,
         "eventually_correct_fraction": 1.0,
         "exact_result_fraction": exact / len(trace),
         "max_rel_energy_error": worst,
@@ -142,7 +145,6 @@ def test_service_chaos_replay(benchmark, tmp_path):
         "scalar_fallbacks": stats.scalar_fallbacks,
         "deadline_expired": stats.deadline_expired,
         "errors": stats.errors,
-        "pool_rebuilds": stats.as_dict()["pool_rebuilds"],
         "store_corrupt_entries": store.corrupt_entries,
     }
     if FULL_SIZE:
@@ -154,16 +156,14 @@ def test_service_chaos_replay(benchmark, tmp_path):
         [
             f"trace     {len(trace):5d} requests "
             f"({profile['unique_requests']} unique, {profile['families']} families)",
-            f"injected  {injected['injected_worker_kills']} worker kills, "
-            f"{injected['injected_transients']} transients, "
+            f"injected  {injected['injected_transients']} transients, "
             f"{injected['injected_corruptions']} corruptions, "
             f"{injected['injected_slow_dispatches']} slow dispatches",
             f"healed    {stats.retries} retries, {stats.fallbacks} isolations, "
             f"{stats.scalar_fallbacks} oracle rescues, "
-            f"{record['pool_rebuilds']} pool rebuilds, "
             f"{store.corrupt_entries} quarantined entries",
             f"chaos     {len(trace) / chaos_s:10.1f} requests/s "
-            f"({chaos_s / clean_s:.2f}x clean wall time)",
+            f"({slowdown:.2f}x clean wall time)",
             f"correct   {exact}/{len(trace)} exact, "
             f"max rel energy error {worst:.2e} (gate: 1e-9)",
             f"amplification {amplification:.3f}x (gate: <= 1.5x)",

@@ -11,8 +11,8 @@ The sweeps run on the batch evaluation path: operand distributions are
 profiled once per layer and shared by every sweep point, per-action
 energy tables for the whole grid are derived up front in config-axis
 batched passes (``repro.core.config_batch`` — one NumPy pass per layer
-for all sweep points, published to live workers through the
-shared-memory cache tier), the joint (point x layer) grid fans out
+for all sweep points, shipped to the workers inside their work items),
+the joint (point x layer) grid fans out
 across the process-wide shared pool (``BatchRunner`` / ``shared_pool``),
 and mapping candidates are evaluated as one vectorized counts-matrix
 product per layer.  The loop-nest mapper demo scores its whole
@@ -46,8 +46,8 @@ def sweep_array_sizes(network: Network) -> None:
     # Profile once; both sweeps (eight points) share the same layer profiles
     # and run concurrently in worker processes.  The macro sweep's energy
     # tables are derived before fan-out in config-axis batched passes (one
-    # NumPy pass per layer for all four sizes) and reach live workers via
-    # the shared-memory cache tier.
+    # NumPy pass per layer for all four sizes) and shipped to the workers
+    # with the grid cells.
     distributions = profile_network(network)
     runner = BatchRunner(workers=SWEEP_WORKERS)
     macro_results = runner.run_points(

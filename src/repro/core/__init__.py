@@ -9,12 +9,12 @@
   (paper Sec. III-D).
 * :mod:`repro.core.batch` — the vectorized batch evaluation engine
   (candidate batches as NumPy counts matrices) and the process-pool
-  :class:`~repro.core.batch.BatchRunner` for parallel sweeps.
+  :class:`~repro.core.batch.BatchRunner` for parallel sweeps, which ships
+  parent-derived per-action energy tables to its workers in their
+  payloads.
 * :mod:`repro.core.config_batch` — config-axis batched derivation of the
   per-action energy tables themselves (one NumPy pass per layer for a
   whole config family; the scalar macro walk stays as the oracle).
-* :mod:`repro.core.shared_cache` — the shared-memory cache tier that
-  carries parent-derived tables to already-live pool workers.
 * :mod:`repro.core.evaluation` — result containers and breakdown helpers.
 * :mod:`repro.core.accuracy` — error metrics used to validate against the
   value-level ground truth and published silicon (paper Sec. IV/V).
@@ -34,7 +34,6 @@ from repro.core.config_batch import ConfigBatchResult, derive_config_batch
 from repro.core.evaluation import EvaluationResult, LayerEvaluation
 from repro.core.fast_pipeline import AmortizedEvaluator, PerActionEnergyCache
 from repro.core.model import CiMLoopModel
-from repro.core.shared_cache import SharedEnergyStore, SharedEnergyTier
 
 __all__ = [
     "CiMLoopModel",
@@ -42,8 +41,6 @@ __all__ = [
     "AmortizedEvaluator",
     "ConfigBatchResult",
     "derive_config_batch",
-    "SharedEnergyStore",
-    "SharedEnergyTier",
     "BatchEvaluator",
     "BatchEvaluationResult",
     "BatchRunner",

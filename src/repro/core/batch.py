@@ -30,12 +30,11 @@ candidates one at a time in Python.  This module removes that loop:
   per-action energies are derived once per (config, layer) in the parent
   — in config-axis batched passes
   (:meth:`~repro.core.fast_pipeline.PerActionEnergyCache.derive_many`) —
-  and reach workers via fork inheritance, the shared-memory cache tier
-  (:mod:`repro.core.shared_cache`, which also covers tables derived
-  *after* the pool forked), or the shipped payloads, instead of being
-  re-derived per process.
+  and shipped to the workers in their payloads, so a worker never
+  profiles, derives or consults a cache for them, whether the table
+  existed before the pool forked or was derived long after.
 
-Cache-keying contract: every worker gets per-action energies through a
+Cache-keying contract: the parent resolves per-action energies through a
 :class:`~repro.core.fast_pipeline.PerActionEnergyCache`, which keys on the
 full frozen macro config plus the layer fingerprint — never on bare names —
 so concurrently swept configs can never alias each other's entries.
@@ -49,7 +48,6 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -71,7 +69,6 @@ from repro.core.fast_pipeline import (
     MappingEvaluation,
     PerActionEnergyCache,
 )
-from repro.core.shared_cache import SharedEnergyTier
 from repro.core.terms import TermCache
 from repro.utils.errors import EvaluationError
 from repro.workloads.distributions import LayerDistributions
@@ -328,10 +325,7 @@ class BatchEvaluator:
 # ----------------------------------------------------------------------
 _pool_lock = threading.Lock()
 _shared_pool: Optional[ProcessPoolExecutor] = None
-_shared_pool_workers = 0
-#: How many times a broken pool (killed/OOMed workers) was replaced by a
-#: fresh one — the service surfaces this in /healthz as `pool_rebuilds`.
-_pool_rebuilds = 0
+_shared_pool_size = 0
 
 
 def shared_pool(workers: int) -> ProcessPoolExecutor:
@@ -347,75 +341,45 @@ def shared_pool(workers: int) -> ProcessPoolExecutor:
     rather than handed out broken.  Call :func:`shutdown_shared_pool` to
     release the workers explicitly (also registered at interpreter exit).
     """
-    global _shared_pool, _shared_pool_workers, _pool_rebuilds
+    global _shared_pool, _shared_pool_size
     if workers < 1:
         raise EvaluationError("a process pool needs at least one worker")
     with _pool_lock:
         broken = _shared_pool is not None and getattr(_shared_pool, "_broken", False)
-        if broken:
-            _pool_rebuilds += 1
-        if _shared_pool is not None and (broken or workers > _shared_pool_workers):
+        if _shared_pool is not None and (broken or workers > _shared_pool_size):
             _shared_pool.shutdown(wait=True)
             _shared_pool = None
         if _shared_pool is None:
-            _shared_pool = ProcessPoolExecutor(max_workers=max(workers, _shared_pool_workers))
-            _shared_pool_workers = max(workers, _shared_pool_workers)
-            # Workers now exist to read the shared-memory cache tier, so
-            # let parent-side derivations start publishing.  (A process
-            # that never pools never allocates a slab at all.)
-            if _process_energy_cache.shared is not None:
-                _process_energy_cache.shared.arm()
+            _shared_pool = ProcessPoolExecutor(max_workers=max(workers, _shared_pool_size))
+            _shared_pool_size = max(workers, _shared_pool_size)
         return _shared_pool
 
 
 def shutdown_shared_pool() -> None:
     """Shut down the shared pool (a later parallel call recreates it)."""
-    global _shared_pool, _shared_pool_workers
+    global _shared_pool, _shared_pool_size
     with _pool_lock:
         if _shared_pool is not None:
             _shared_pool.shutdown(wait=True)
             _shared_pool = None
-            _shared_pool_workers = 0
-
-
-def pool_rebuilds() -> int:
-    """How many broken shared pools have been replaced in this process."""
-    with _pool_lock:
-        return _pool_rebuilds
-
-
-def live_worker_pids() -> List[int]:
-    """PIDs of the shared pool's currently-live workers (empty without a
-    pool).  Observability/chaos helper: the fault injector picks its
-    SIGKILL victim here, and a supervisor can watch worker churn."""
-    with _pool_lock:
-        if _shared_pool is None:
-            return []
-        processes = getattr(_shared_pool, "_processes", None) or {}
-        return [pid for pid, process in processes.items() if process.is_alive()]
+            _shared_pool_size = 0
 
 
 atexit.register(shutdown_shared_pool)
 
 #: Process-wide cache of per-action energies.  One derivation per
 #: (config, layer) per process; assumes default-profiled distributions
-#: (callers with custom profiles pass their own cache).  The same module
-#: global exists inside every pool worker: entries present in the parent
-#: when the pool forks are inherited for free, later worker-side
-#: derivations persist across payloads for the worker's lifetime, tables
-#: the parent derives *after* the fork reach live workers through the
-#: shared-memory tier (:mod:`repro.core.shared_cache`), and the optional
-#: disk backing (``REPRO_ENERGY_CACHE_DIR``) shares entries across
-#: processes and runs.
+#: (callers with custom profiles pass their own cache).  Pool workers
+#: never read it for shipped work: the parent resolves every table here
+#: and ships it in the payload.  The optional disk backing
+#: (``REPRO_ENERGY_CACHE_DIR``) shares entries across processes and runs.
 _process_disk_tier = DiskEnergyCache.from_env()
-_process_shared_tier = SharedEnergyTier.from_env()
 _process_energy_cache = PerActionEnergyCache(
     disk=_process_disk_tier,
-    shared=_process_shared_tier,
-    # Term-granular entries ride the same shared slab and disk directory
-    # as the full tables (distinct key prefixes), so one pair of env
-    # knobs configures both granularities; REPRO_TERM_CACHE=0 opts out.
-    terms=TermCache.from_env(shared=_process_shared_tier, disk=_process_disk_tier),
+    # Term-granular entries ride the same disk directory as the full
+    # tables (distinct key prefixes), so one env knob configures both
+    # granularities; REPRO_TERM_CACHE=0 opts out.
+    terms=TermCache.from_env(disk=_process_disk_tier),
 )
 
 
@@ -430,34 +394,16 @@ def process_energy_cache() -> PerActionEnergyCache:
 def _evaluate_grid_cell(payload):
     """Worker: evaluate one (config, layer) cell of a sweep grid.
 
-    Macro-only cells with default-profiled distributions resolve their
-    per-action energies through the worker-persistent process cache
-    (fork-inherited, and disk-backed when enabled), so repeated grids over
-    the same (config, layer) pairs — successive sweeps, warm re-runs —
-    derive each energy table at most once per process instead of once per
-    cell.  System cells and fixed-energy runs take the uncached path
-    unchanged.
+    A cell that arrives with its per-action energy table (macro-only,
+    default-profiled: the parent derived it in :meth:`BatchRunner.run_grid`)
+    only maps and scores the layer — no profiling, no cache.  System cells,
+    fixed-energy runs and custom-profiled cells take the model path.
     """
-    (
-        config,
-        layer,
-        distributions,
-        use_distributions,
-        first_layer,
-        last_layer,
-        default_profiled,
-    ) = payload
-    cacheable = default_profiled or distributions is None  # None: worker
-    # profiles the layer itself with defaults, which is provably cacheable.
-    if cacheable and use_distributions and isinstance(config, CiMMacroConfig):
+    config, layer, distributions, use_distributions, first_layer, last_layer, per_action = payload
+    if per_action is not None:
         from repro.core.evaluation import LayerEvaluation
-        from repro.workloads.distributions import profile_layer
 
-        macro = macro_for(config)
-        if distributions is None:
-            distributions = profile_layer(layer)
-        per_action = _process_energy_cache.get(macro, layer, distributions)
-        result = macro.evaluate_layer(layer, distributions, per_action=per_action)
+        result = macro_for(config).evaluate_layer(layer, distributions, per_action=per_action)
         return LayerEvaluation.from_macro_result(result)
 
     from repro.core.model import CiMLoopModel
@@ -468,49 +414,17 @@ def _evaluate_grid_cell(payload):
     )
 
 
-def _worker_cache_probe(payload):
-    """Worker: resolve one (config, layer) through the process cache and
-    report how it was served.
-
-    Diagnostic hook for the cache-tier regression tests: the returned
-    deltas say whether the worker hit its fork-inherited memory, the
-    shared-memory tier, the disk tier, or had to derive — plus the worker
-    PID so a test can tell which pool members answered.
-    """
-    config, layer = payload
-    cache = _process_energy_cache
-    before = (cache.hits, cache.shared_hits, cache.disk_hits, cache.derivations)
-    cache.get(macro_for(config), layer)
-    after = (cache.hits, cache.shared_hits, cache.disk_hits, cache.derivations)
-    return {
-        "pid": os.getpid(),
-        "memory_hits": after[0] - before[0],
-        "shared_hits": after[1] - before[1],
-        "disk_hits": after[2] - before[2],
-        "derivations": after[3] - before[3],
-    }
-
-
 def _evaluate_layer_mappings(payload):
     """Worker: batch-evaluate one layer's candidate mappings.
 
-    With default-profiled distributions the worker scores through the
-    process-persistent cache — per-action energies shipped by the parent
-    seed it once and stay for the worker's lifetime, so repeated searches
-    over the same (config, layer) pairs never re-derive (nor re-seed a
-    throwaway cache per payload).  Custom-profiled payloads keep using an
-    isolated per-call cache: the persistent cache's key ignores
-    distributions, so serving it custom energies would poison later
-    default-profiled runs.
+    The parent ships the per-action energies; the worker seeds a
+    throwaway cache with them, so nothing it scores is ever derived
+    worker-side or outlives the payload.
     """
-    config, layer, num_mappings, distributions, per_action, persistent = payload
+    config, layer, num_mappings, distributions, per_action = payload
     macro = macro_for(config)
-    if persistent and distributions is None:
-        cache = _process_energy_cache
-    else:
-        cache = PerActionEnergyCache()
-    if per_action is not None:
-        cache.seed(macro, layer, per_action)
+    cache = PerActionEnergyCache()
+    cache.seed(macro, layer, per_action)
     evaluator = BatchEvaluator(macro, cache)
     return evaluator.evaluate_mappings(layer, num_mappings, distributions=distributions)
 
@@ -522,10 +436,10 @@ class BatchRunner:
     :func:`shared_pool`): constructing a ``BatchRunner`` is free, and the
     fan-out axes are joint — a sweep ships the full ``(point x layer)``
     product so the pool stays busy even when one axis is shorter than the
-    worker count.  Operand distributions are profiled once by the caller
-    and shipped to every worker, so no worker ever re-profiles a layer;
-    per-action energies are likewise derived once per (config, layer) in
-    the parent and shipped (see :func:`process_energy_cache`).
+    worker count.  Operand distributions are profiled once by the caller,
+    and per-action energies are derived once per (config, layer) in the
+    parent (see :func:`process_energy_cache`) and shipped, so no worker
+    re-profiles a layer or re-derives a table.
 
     Choosing ``workers``: evaluation cells are CPU-bound, so physical
     core count (``os.cpu_count()``, the default) is the ceiling; fewer
@@ -542,19 +456,7 @@ class BatchRunner:
         # Size the first pool to the work actually available; the shared
         # pool grows on demand when a wider batch arrives later.
         width = min(self.workers, len(payloads))
-        try:
-            return list(shared_pool(width).map(function, payloads))
-        except BrokenProcessPool:
-            # A worker died (OOM kill, segfault).  Drop the broken pool
-            # and retry once on a fresh one before giving up; a second
-            # BrokenProcessPool propagates to the caller, where the
-            # service's retry/fallback policy takes over (it is
-            # classified retryable by repro.service.faults).
-            global _pool_rebuilds
-            with _pool_lock:
-                _pool_rebuilds += 1
-            shutdown_shared_pool()
-            return list(shared_pool(width).map(function, payloads))
+        return list(shared_pool(width).map(function, payloads))
 
     def run_grid(
         self,
@@ -575,45 +477,50 @@ class BatchRunner:
         ``default_profiled=True`` declares that the supplied
         ``distributions`` are the layers' *default* profiles (as
         ``profile_network`` produces); under that declaration — or when no
-        distributions are shipped at all, in which case workers profile
-        with defaults themselves — macro-only cells resolve per-action
-        energies through the worker-persistent process cache, so warm
-        re-runs derive nothing.  The flag defaults to False so callers
-        shipping custom (salted) profiles are isolated from the shared
-        cache unless they explicitly opt in.
+        distributions are supplied at all, in which case layers are
+        profiled with defaults — macro-only cells resolve their per-action
+        energies through the process cache, so warm re-runs derive
+        nothing.  The flag defaults to False so callers shipping custom
+        (salted) profiles are isolated from the shared cache unless they
+        explicitly opt in.
 
-        Before fan-out, the parent derives every cacheable macro cell's
-        per-action energy table in **one config-axis batched pass per
-        layer** (:meth:`PerActionEnergyCache.derive_many`) instead of
-        letting each worker walk the scalar circuit models; the tables
-        reach workers through fork inheritance or, for pools that were
-        already live, the shared-memory cache tier.
+        Before fan-out, the parent derives every such cell's per-action
+        energy table in **one config-axis batched pass per layer**
+        (:meth:`PerActionEnergyCache.derive_many`) and ships the table in
+        the cell's payload in place of its distributions, so a worker
+        scores it without profiling or deriving, however long after the
+        pool forked the table was derived.
         """
         from repro.core.model import CiMLoopModel
 
         layers = list(network)
         num_layers = len(layers)
+        tables: List[Optional[List[Dict[str, float]]]] = [None] * len(configs)
         if use_distributions and (default_profiled or distributions is None):
-            macro_configs = [
-                config for config in configs if isinstance(config, CiMMacroConfig)
+            points = [
+                point for point, config in enumerate(configs)
+                if isinstance(config, CiMMacroConfig)
             ]
-            if macro_configs:
-                _process_energy_cache.derive_many(
-                    macro_configs, layers, distributions=distributions
+            if points:
+                derived = _process_energy_cache.derive_many(
+                    [configs[point] for point in points], layers,
+                    distributions=distributions,
                 )
-        payloads = [
-            (
-                config,
-                layer,
-                distributions.get(layer.name) if distributions else None,
-                use_distributions,
-                index == 0,
-                index == num_layers - 1,
-                default_profiled,
-            )
-            for config in configs
-            for index, layer in enumerate(layers)
-        ]
+                for point, row in zip(points, derived):
+                    tables[point] = row
+        payloads = []
+        for point, config in enumerate(configs):
+            for index, layer in enumerate(layers):
+                table = tables[point][index] if tables[point] is not None else None
+                payloads.append((
+                    config,
+                    layer,
+                    distributions.get(layer.name) if distributions and table is None else None,
+                    use_distributions,
+                    index == 0,
+                    index == num_layers - 1,
+                    table,
+                ))
         cells = self._map(_evaluate_grid_cell, payloads)
 
         from repro.core.config_batch import area_config_batch
@@ -696,17 +603,11 @@ class BatchRunner:
             cache = _process_energy_cache
         else:
             cache = PerActionEnergyCache()
-        # Workers mirror the parent's cache choice: searches on the shared
-        # process cache stay persistent worker-side too (entries outlive
-        # the payload), while explicit caller caches keep their isolation.
-        persistent = cache is _process_energy_cache
         # One config-axis batched pass fills every missing (config, layer)
         # table instead of a scalar derivation per layer.
         tables = cache.derive_many([config], layers, distributions=distributions)[0]
         payloads = []
         for layer, per_action in zip(layers, tables):
             layer_distributions = distributions.get(layer.name) if distributions else None
-            payloads.append(
-                (config, layer, num_mappings, layer_distributions, per_action, persistent)
-            )
+            payloads.append((config, layer, num_mappings, layer_distributions, per_action))
         return self._map(_evaluate_layer_mappings, payloads)

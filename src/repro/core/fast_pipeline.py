@@ -26,32 +26,28 @@ configs sharing one layer resolves through
 :meth:`PerActionEnergyCache.derive_many`, which fills every missing entry
 of the grid in a few NumPy passes instead of one scalar macro walk per
 config (the scalar :meth:`CiMMacro.per_action_energies` stays as the
-tested oracle).  Around the derivation sit three cache tiers, consulted
+tested oracle).  Around the derivation sit two cache tiers, consulted
 in order:
 
 1. **Process tier** — the in-memory map below, keyed by the full frozen
-   config + layer fingerprint.  Fork-inherited by pool workers, so
-   entries that exist when the shared pool forks are free.
-2. **Shared-memory tier** (:mod:`repro.core.shared_cache`) — a
-   single-writer ``multiprocessing.shared_memory`` slab.  Tables derived
-   in the parent *after* the pool forked are published here and observed
-   by already-live workers, closing the gap the fork-inherited tier
-   cannot cover (and without touching the disk).
-3. **Disk tier** (:class:`DiskEnergyCache`, opt-in via
+   config + layer fingerprint.  Pool workers never consult it for the
+   work they are shipped: :class:`~repro.core.batch.BatchRunner` resolves
+   every table in the parent and sends it in the payload.
+2. **Disk tier** (:class:`DiskEnergyCache`, opt-in via
    ``REPRO_ENERGY_CACHE_DIR``) — cross-process *and* cross-run reuse,
    with LRU size/entry bounds so the store cannot grow without limit.
 
-Only a miss in all three tiers derives; the result is written back
-through every enabled tier.
+Only a miss in both tiers derives; the result is written back through
+every enabled tier.
 
 Alongside the full-table entries, the same tiers carry **term-granular
 entries** (:mod:`repro.core.terms`): each component term — one circuit
 formula's value, keyed by the config *sub-tuple* that formula actually
 reads instead of the full frozen config — is cached by the
 :class:`~repro.core.terms.TermCache` attached to the process cache
-(``terms``), published to the same shared-memory slab, and persisted as
-``energy-*.json`` files in the same disk directory (term keys start with
-``term|``/``areaterm|``, so the two entry kinds can never collide).
+(``terms``) and persisted as ``energy-*.json`` files in the same disk
+directory (term keys start with ``term|``/``areaterm|``, so the two
+entry kinds can never collide).
 A cold *full-config* miss in every tier then rarely pays full price:
 :meth:`PerActionEnergyCache.derive_many` hands the term cache to the
 config-axis deriver, which re-derives only the terms the new configs
@@ -72,9 +68,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.architecture.macro import CiMMacro, CiMMacroConfig, MacroLayerCounts
-from repro.core.shared_cache import SharedEnergyTier, env_positive_int
 from repro.core.terms import TermCache
 from repro.utils.diskstore import atomic_write_json, evict_lru_files
+from repro.utils.env import env_positive_int
 from repro.utils.errors import EvaluationError
 from repro.workloads.distributions import LayerDistributions, profile_layer
 from repro.workloads.layer import Layer
@@ -88,18 +84,6 @@ ENERGY_CACHE_DIR_ENV = "REPRO_ENERGY_CACHE_DIR"
 #: Environment variables bounding the disk cache (LRU eviction).
 ENERGY_CACHE_MAX_ENTRIES_ENV = "REPRO_ENERGY_CACHE_MAX_ENTRIES"
 ENERGY_CACHE_MAX_BYTES_ENV = "REPRO_ENERGY_CACHE_MAX_BYTES"
-
-
-def canonical_key(key: CacheKey) -> str:
-    """Deterministic string identity of a cache key.
-
-    Shared by every cache tier (disk file naming, shared-memory index),
-    so the tiers can never disagree about which design an entry belongs
-    to: the string embeds the full frozen config repr and the layer
-    fingerprint repr.
-    """
-    config, fingerprint = key
-    return f"{config!r}|{fingerprint!r}"
 
 
 class DiskEnergyCache:
@@ -186,8 +170,10 @@ class DiskEnergyCache:
 
     @staticmethod
     def canonical_key(key: CacheKey) -> str:
-        """Deterministic string identity of a cache key."""
-        return canonical_key(key)
+        """Deterministic string identity of a cache key: the full frozen
+        config repr and the layer fingerprint repr."""
+        config, fingerprint = key
+        return f"{config!r}|{fingerprint!r}"
 
     def path_for(self, key: CacheKey) -> Path:
         """The entry file a key maps to."""
@@ -315,16 +301,12 @@ class PerActionEnergyCache:
 
     Persistence
     -----------
-    Two optional tiers back the in-memory map, consulted in order on a
-    memory miss: the **shared-memory tier**
-    (:class:`~repro.core.shared_cache.SharedEnergyTier`) lets live pool
-    workers observe tables the parent derived after the pool forked, and
-    the **disk tier** (:class:`DiskEnergyCache`) persists entries across
-    processes and runs.  Fresh derivations are written through both.
-    ``derivations`` counts *actual* energy-model computations — a fully
-    warm tier stack leaves it at zero — while ``misses`` keeps counting
-    memory misses whether or not a backing tier served them
-    (``shared_hits`` / ``disk_hits`` say which one did).
+    The optional **disk tier** (:class:`DiskEnergyCache`) backs the
+    in-memory map on a memory miss and persists entries across processes
+    and runs; fresh derivations are written through it.  ``derivations``
+    counts *actual* energy-model computations — a fully warm tier stack
+    leaves it at zero — while ``misses`` keeps counting memory misses
+    whether or not the disk served them (``disk_hits`` says it did).
 
     When a term-granular cache (``terms``) is attached, bulk derivations
     that miss every full-table tier still reuse per-component terms
@@ -338,8 +320,6 @@ class PerActionEnergyCache:
     misses: int = 0
     disk: Optional[DiskEnergyCache] = None
     disk_hits: int = 0
-    shared: Optional[SharedEnergyTier] = None
-    shared_hits: int = 0
     derivations: int = 0
     terms: Optional[TermCache] = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -362,7 +342,7 @@ class PerActionEnergyCache:
                 self.hits += 1
                 return self._entries[key]
             self.misses += 1
-            served = self._load_from_tiers(key)
+            served = self._load_from_disk(key)
             if served is not None:
                 return served
             self.derivations += 1
@@ -373,27 +353,19 @@ class PerActionEnergyCache:
             self._store(key, energies)
             return energies
 
-    def _load_from_tiers(self, key: CacheKey) -> Optional[Dict[str, float]]:
-        """Resolve a memory miss through the shared then disk tiers."""
-        if self.shared is not None:
-            stored = self.shared.lookup(canonical_key(key))
-            if stored is not None:
-                self.shared_hits += 1
-                self._entries[key] = stored
-                return stored
-        if self.disk is not None:
-            stored = self.disk.load(key)
-            if stored is not None:
-                self.disk_hits += 1
-                self._entries[key] = stored
-                return stored
-        return None
+    def _load_from_disk(self, key: CacheKey) -> Optional[Dict[str, float]]:
+        """Resolve a memory miss through the disk tier."""
+        if self.disk is None:
+            return None
+        stored = self.disk.load(key)
+        if stored is not None:
+            self.disk_hits += 1
+            self._entries[key] = stored
+        return stored
 
     def _store(self, key: CacheKey, energies: Dict[str, float]) -> None:
-        """Insert a fresh derivation and write it through every tier."""
+        """Insert a fresh derivation and write it through the disk tier."""
         self._entries[key] = energies
-        if self.shared is not None:
-            self.shared.publish(canonical_key(key), energies)
         if self.disk is not None:
             self.disk.store(key, energies)
 
@@ -409,10 +381,10 @@ class PerActionEnergyCache:
         For each layer, entries already present count as ``hits``; the
         remaining configs are derived in **one config-axis batched pass**
         (:func:`repro.core.config_batch.derive_config_batch`) instead of
-        one scalar macro walk per config, then written through the shared
-        and disk tiers exactly like :meth:`get` derivations.  Accounting
-        matches the scalar path entry for entry: every returned table was
-        either a hit, a tier hit, or a derivation.
+        one scalar macro walk per config, then written through the disk
+        tier exactly like :meth:`get` derivations.  Accounting matches the
+        scalar path entry for entry: every returned table was either a
+        hit, a disk hit, or a derivation.
 
         ``distributions`` maps layer names to profiles (as
         ``profile_network`` produces); absent layers are profiled with
@@ -445,7 +417,7 @@ class PerActionEnergyCache:
                             remaining.append(row)
                         continue
                     self.misses += 1
-                    served = self._load_from_tiers(key)
+                    served = self._load_from_disk(key)
                     if served is not None:
                         tables[row][column] = served
                     else:
@@ -478,31 +450,25 @@ class PerActionEnergyCache:
     def seed(self, macro: CiMMacro, layer: Layer, energies: Dict[str, float]) -> None:
         """Pre-insert per-action energies computed elsewhere.
 
-        Used by the parallel runner: the parent process derives (or cache-
-        hits) the energies once per (config, layer) and ships them to
-        workers, which seed their local caches instead of re-deriving.
+        Used by the parallel runner's mapping-search workers: the parent
+        derives (or cache-hits) the energies once per (config, layer) and
+        ships them, and each worker seeds a throwaway cache instead of
+        re-deriving.
         """
         key = self.key_for(macro, layer)
         with self._lock:
             self._entries[key] = energies
 
     def stats(self) -> Dict[str, object]:
-        """Counters of the whole tier stack, for health/observability.
-
-        Includes the shared-memory slab's overflow counters
-        (:meth:`~repro.core.shared_cache.SharedEnergyTier.stats`) so a
-        degraded slab is visible to monitoring — this is what the service
-        ``/healthz`` endpoint reports.
-        """
+        """Counters of the whole tier stack, for health/observability —
+        what the service ``/healthz`` endpoint reports."""
         with self._lock:
             payload: Dict[str, object] = {
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
-                "shared_hits": self.shared_hits,
                 "disk_hits": self.disk_hits,
                 "derivations": self.derivations,
-                "shared_tier": self.shared.stats() if self.shared is not None else None,
                 "term_tier": self.terms.stats() if self.terms is not None else None,
                 "disk_tier": None,
             }
@@ -517,15 +483,14 @@ class PerActionEnergyCache:
             return payload
 
     def invalidate(self) -> None:
-        """Drop every cached in-memory entry (shared-memory and disk
-        entries are left alone: their keys embed the full config, so they
-        can never serve a changed design)."""
+        """Drop every cached in-memory entry (disk entries are left
+        alone: their keys embed the full config, so they can never serve
+        a changed design)."""
         with self._lock:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
             self.disk_hits = 0
-            self.shared_hits = 0
             self.derivations = 0
             if self.terms is not None:
                 self.terms.invalidate()

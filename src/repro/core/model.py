@@ -196,8 +196,8 @@ class CiMLoopModel:
             else:
                 configs.append(macro_config)
         runner = BatchRunner(workers=workers)
-        # The profiles shipped here are profile_network defaults, so grid
-        # cells may serve them from the worker-persistent energy cache.
+        # The profiles passed here are profile_network defaults, so the
+        # grid's energy tables may come from the process energy cache.
         evaluations = runner.run_points(
             configs, network, distributions=distributions,
             use_distributions=self.use_distributions,

@@ -20,8 +20,8 @@ inputs.  This module factors the derivation around that independence:
   batched deriver (:mod:`repro.core.config_batch`) evaluates each unique
   ``(term, key)`` once per family and broadcasts.
 * :class:`TermCache` stores derived term values across families,
-  requests, and runs — in memory, through the shared-memory slab, and
-  through the disk tier — so a warm near-duplicate family assembles its
+  requests, and runs — in memory and through the disk tier — so a warm
+  near-duplicate family assembles its
   ``(configs, actions)`` table from cached terms and derives only the
   terms its perturbed axis actually changed.
 
@@ -334,39 +334,36 @@ class TermCache:
 
     Entries map a canonical term key string to the term's per-action
     values (a ``{action: value}`` dict — the same payload shape the
-    full-table tiers move, so the shared-memory slab and the disk store
-    serve term entries without any new machinery).  A memory miss falls
-    through the shared tier then the disk tier, exactly like
-    :class:`~repro.core.fast_pipeline.PerActionEnergyCache`; fresh
-    derivations (recorded by the deriver via :meth:`record_derivations`)
-    are written back through both.
+    full-table tiers move, so the disk store serves term entries without
+    any new machinery).  A memory miss falls through to the disk tier,
+    exactly like :class:`~repro.core.fast_pipeline.PerActionEnergyCache`;
+    fresh derivations (recorded by the deriver via
+    :meth:`record_derivations`) are written back through it.
 
     Access is lock-serialised so the process-wide instance can be shared
     by concurrent sweep threads and the service dispatcher with exact
     hit/miss accounting.
     """
 
-    def __init__(self, shared=None, disk=None):
+    def __init__(self, disk=None):
         self._entries: Dict[str, Dict[str, float]] = {}
         self._operand_stats: Dict[tuple, Dict[tuple, object]] = {}
-        self.shared = shared
         self.disk = disk
         self.hits = 0
         self.misses = 0
-        self.shared_hits = 0
         self.disk_hits = 0
         self.derivations = 0
         self._lock = threading.Lock()
 
     @classmethod
-    def from_env(cls, shared=None, disk=None) -> Optional["TermCache"]:
+    def from_env(cls, disk=None) -> Optional["TermCache"]:
         """A cache honouring ``REPRO_TERM_CACHE`` (None when disabled)."""
         import os
 
         flag = os.environ.get(TERM_CACHE_ENV, "").strip().lower()
         if flag in ("0", "false", "off", "no"):
             return None
-        return cls(shared=shared, disk=disk)
+        return cls(disk=disk)
 
     def lookup(self, key: str) -> Optional[Dict[str, float]]:
         """One entry's values, falling through the tiers; None on a miss."""
@@ -376,12 +373,6 @@ class TermCache:
                 self.hits += 1
                 return values
             self.misses += 1
-            if self.shared is not None:
-                stored = self.shared.lookup(key)
-                if stored is not None:
-                    self.shared_hits += 1
-                    self._entries[key] = stored
-                    return stored
             if self.disk is not None:
                 stored = self.disk.load_canonical(key)
                 if stored is not None:
@@ -391,11 +382,9 @@ class TermCache:
             return None
 
     def store(self, key: str, values: Dict[str, float]) -> None:
-        """Insert one freshly derived entry and write it through the tiers."""
+        """Insert one freshly derived entry and write it through the disk."""
         with self._lock:
             self._entries[key] = values
-            if self.shared is not None:
-                self.shared.publish(key, values)
             if self.disk is not None:
                 self.disk.store_canonical(key, values)
 
@@ -423,7 +412,6 @@ class TermCache:
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
-                "shared_hits": self.shared_hits,
                 "disk_hits": self.disk_hits,
                 "derivations": self.derivations,
                 "hit_ratio": (self.hits / lookups) if lookups else 0.0,
@@ -437,7 +425,6 @@ class TermCache:
             self._operand_stats.clear()
             self.hits = 0
             self.misses = 0
-            self.shared_hits = 0
             self.disk_hits = 0
             self.derivations = 0
 

@@ -4,9 +4,6 @@ A :class:`ChaosInjector` sits on the scheduler's dispatch path and, with
 seeded-RNG probabilities, injects the failures the fault-tolerance layer
 claims to survive:
 
-* **worker kill** — SIGKILL one live process-pool worker just before a
-  dispatch, so the dispatch (or the pool's next use) trips
-  ``BrokenProcessPool`` and exercises the supervised rebuild path;
 * **transient dispatch exception** — raise a :class:`ChaosError`
   (retryable), exercising backoff-and-retry;
 * **corrupt store entry** — after a result is stored, scribble over its
@@ -32,11 +29,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.service.faults import RetryableError, env_positive_float
+from repro.service.faults import RetryableError
+from repro.utils.env import env_positive_float
 
 CHAOS_ENV = "REPRO_CHAOS"
 CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
-CHAOS_WORKER_KILL_ENV = "REPRO_CHAOS_WORKER_KILL"
 CHAOS_TRANSIENT_ENV = "REPRO_CHAOS_TRANSIENT"
 CHAOS_CORRUPT_ENTRY_ENV = "REPRO_CHAOS_CORRUPT_ENTRY"
 CHAOS_SLOW_DISPATCH_ENV = "REPRO_CHAOS_SLOW_DISPATCH"
@@ -52,7 +49,6 @@ class ChaosConfig:
     """Injection probabilities (per dispatch / per store write) + seed."""
 
     seed: int = 0
-    worker_kill: float = 0.0
     transient: float = 0.0
     corrupt_entry: float = 0.0
     slow_dispatch: float = 0.0
@@ -61,11 +57,7 @@ class ChaosConfig:
     @property
     def enabled(self) -> bool:
         return any(
-            p > 0.0
-            for p in (
-                self.worker_kill, self.transient,
-                self.corrupt_entry, self.slow_dispatch,
-            )
+            p > 0.0 for p in (self.transient, self.corrupt_entry, self.slow_dispatch)
         )
 
     @classmethod
@@ -75,7 +67,6 @@ class ChaosConfig:
         fire many times over a 1k-request trace."""
         return cls(
             seed=seed,
-            worker_kill=0.05,
             transient=0.08,
             corrupt_entry=0.15,
             slow_dispatch=0.05,
@@ -96,7 +87,6 @@ class ChaosConfig:
         base = cls.preset(seed=int(os.environ.get(CHAOS_SEED_ENV, "0") or 0))
         return cls(
             seed=base.seed,
-            worker_kill=_env_probability(CHAOS_WORKER_KILL_ENV, base.worker_kill),
             transient=_env_probability(CHAOS_TRANSIENT_ENV, base.transient),
             corrupt_entry=_env_probability(CHAOS_CORRUPT_ENTRY_ENV, base.corrupt_entry),
             slow_dispatch=_env_probability(CHAOS_SLOW_DISPATCH_ENV, base.slow_dispatch),
@@ -124,7 +114,6 @@ class ChaosInjector:
 
         self.config = config
         self._rng = random.Random(config.seed)
-        self.injected_worker_kills = 0
         self.injected_transients = 0
         self.injected_corruptions = 0
         self.injected_slow_dispatches = 0
@@ -138,15 +127,12 @@ class ChaosInjector:
     # Hooks (called by the scheduler)
     # ------------------------------------------------------------------
     def before_dispatch(self, family_size: int) -> None:
-        """Runs before every family dispatch; may delay, kill a pool
-        worker, or raise an injected transient."""
+        """Runs before every family dispatch; may delay or raise an
+        injected transient."""
         if self.config.slow_dispatch > 0.0:
             if self._rng.random() < self.config.slow_dispatch:
                 self.injected_slow_dispatches += 1
                 time.sleep(self.config.slow_dispatch_s)
-        if self.config.worker_kill > 0.0:
-            if self._rng.random() < self.config.worker_kill:
-                self._kill_one_worker()
         if self.config.transient > 0.0:
             if self._rng.random() < self.config.transient:
                 self.injected_transients += 1
@@ -177,23 +163,8 @@ class ChaosInjector:
                 pass
 
     # ------------------------------------------------------------------
-    def _kill_one_worker(self) -> None:
-        """SIGKILL one live shared-pool worker (no-op without a pool)."""
-        from repro.core.batch import live_worker_pids
-
-        pids = live_worker_pids()
-        if not pids:
-            return
-        victim = pids[self._rng.randrange(len(pids))]
-        try:
-            os.kill(victim, signal.SIGKILL)
-        except (OSError, ProcessLookupError):
-            return
-        self.injected_worker_kills += 1
-
     def stats(self) -> Dict[str, int]:
         return {
-            "injected_worker_kills": self.injected_worker_kills,
             "injected_transients": self.injected_transients,
             "injected_corruptions": self.injected_corruptions,
             "injected_slow_dispatches": self.injected_slow_dispatches,
@@ -214,7 +185,7 @@ CHAOS_HEARTBEAT_DELAY_S_ENV = "REPRO_CHAOS_HEARTBEAT_DELAY_S"
 class FleetChaosConfig:
     """Fleet-level fault profile: faults *between* and *of* shards.
 
-    Where :class:`ChaosConfig` injects below one scheduler (pool workers,
+    Where :class:`ChaosConfig` injects below one scheduler (dispatches,
     store entries), this profile attacks the fleet fabric itself:
 
     * ``kills`` — SIGKILL that many whole shard workers at fixed,

@@ -3,11 +3,12 @@
 Commands
 --------
 ``serve``
-    Run the HTTP evaluation service (``--host``, ``--port``,
-    ``--workers``; ``--port 0`` picks an ephemeral port and prints it).
-    ``--shards N`` serves the sharded deployment instead: the same async
-    front end routing over a consistent-hash ring to ``N`` scheduler
-    worker processes sharing one disk result tier (``--store-dir``).
+    Run the HTTP evaluation service in one process (``--host``,
+    ``--port``; ``--port 0`` picks an ephemeral port and prints it).
+    ``--shards N`` serves the sharded deployment instead — the service's
+    only multi-process path: the same async front end routing over a
+    consistent-hash ring to ``N`` scheduler worker processes sharing one
+    disk result tier (``--store-dir``).
 ``submit``
     Send one request to a running service (``--url``) or evaluate it
     in-process (``--local``).  The request comes from ``--file`` (JSON,
@@ -66,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser("serve", help="run the HTTP service")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--workers", type=int, default=1,
-                       help="process-pool workers behind the scheduler")
     serve.add_argument("--max-pending", type=int, default=None,
                        help="bound the pending queue; excess requests are "
                             "shed with HTTP 429 + Retry-After "
@@ -110,13 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--trace", required=True, help="JSONL trace path")
     replay.add_argument("--serial", action="store_true",
                         help="per-request baseline instead of coalescing")
-    replay.add_argument("--workers", type=int, default=1)
     replay.add_argument("--window", type=int, default=128,
                         help="requests per arrival window (coalesced mode)")
     replay.add_argument("--chaos", action="store_true",
                         help="replay under deterministic fault injection "
-                             "(worker kills, corrupt store entries, transient "
-                             "dispatch failures, slow dispatches)")
+                             "(corrupt store entries, transient dispatch "
+                             "failures, slow dispatches)")
     replay.add_argument("--chaos-seed", type=int, default=0,
                         help="seed of the chaos injector's RNG")
     replay.add_argument("--chaos-kills", type=int, default=1,
@@ -140,18 +138,17 @@ def _cmd_serve(args) -> int:
 
         frontend = serve_sharded(
             host=args.host, port=args.port, shards=args.shards,
-            pool_workers=args.workers, store_dir=args.store_dir,
-            max_pending=args.max_pending,
+            store_dir=args.store_dir, max_pending=args.max_pending,
         )
-        mode, detail = " (sharded)", f"shards={args.shards}, pool_workers={args.workers}"
+        mode, detail = " (sharded)", f"shards={args.shards}"
     else:
         from repro.service.http import serve
         from repro.service.scheduler import EvaluationScheduler
 
         frontend = serve(args.host, args.port, scheduler=EvaluationScheduler(
-            workers=args.workers, max_pending=args.max_pending,
+            max_pending=args.max_pending,
         ))
-        mode, detail = "", f"workers={args.workers}"
+        mode, detail = "", "single process"
     frontend.verbose = args.verbose
     backend = frontend.handler.backend
     host, port = frontend.address
@@ -269,7 +266,7 @@ def _cmd_replay(args) -> int:
                 seed=args.chaos_seed, kills=args.chaos_kills
             )
         _, elapsed, health, latencies = replay_sharded(
-            trace, shards=args.shards, pool_workers=args.workers,
+            trace, shards=args.shards,
             window=args.window, store_dir=args.store_dir,
             fleet_chaos=fleet_chaos,
         )
@@ -284,7 +281,7 @@ def _cmd_replay(args) -> int:
 
             chaos = ChaosInjector(ChaosConfig.preset(seed=args.chaos_seed))
         _, elapsed, scheduler, latencies = replay_coalesced(
-            trace, workers=args.workers, window=args.window, chaos=chaos
+            trace, window=args.window, chaos=chaos
         )
         report.update(mode="coalesced", wall_s=elapsed,
                       requests_per_s=len(trace) / elapsed if elapsed else 0.0,

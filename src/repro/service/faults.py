@@ -1,10 +1,10 @@
 """Failure taxonomy and fault-handling policies of the evaluation service.
 
 The service's failure model is explicit: every dispatch failure is either
-*retryable* (infrastructure trouble — a killed pool worker, an injected
-transient, a shed queue — where the same request succeeds on a later
-attempt) or *permanent* (the evaluation itself is deterministic, so an
-error raised by the model repeats on every retry).  The scheduler's
+*retryable* (infrastructure trouble — an injected transient, a shed
+queue — where the same request succeeds on a later attempt) or
+*permanent* (the evaluation itself is deterministic, so an error raised
+by the model repeats on every retry).  The scheduler's
 policies live here beside the taxonomy:
 
 * :func:`is_retryable` classifies an exception; unknown exception types
@@ -26,10 +26,8 @@ the retry schedule, and ``REPRO_SERVICE_BREAKER_THRESHOLD`` /
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
 from repro.utils.errors import CiMLoopError
@@ -114,16 +112,15 @@ class FleetDegradedError(FaultError):
 def is_retryable(error: BaseException) -> bool:
     """Whether a dispatch failure is worth retrying.
 
-    Explicitly-tagged :class:`RetryableError` and infrastructure
-    failures (:class:`BrokenProcessPool`: a worker was killed) are
-    transient; :class:`PermanentError` and *everything else* are not —
+    Explicitly-tagged :class:`RetryableError` failures are transient;
+    :class:`PermanentError` and *everything else* are not —
     the evaluation core is deterministic, so an unclassified exception
     (a model bug, a bad config that slipped past validation) would
     simply repeat, and retrying it only multiplies the cost.
     """
     if isinstance(error, PermanentError):
         return False
-    return isinstance(error, (RetryableError, BrokenProcessPool))
+    return isinstance(error, RetryableError)
 
 
 def backoff_s(
@@ -205,15 +202,3 @@ class CircuitBreaker:
             self.trips += 1
             return True
         return False
-
-
-def env_positive_float(variable: str) -> Optional[float]:
-    """A positive float from the environment, or None when unset/invalid."""
-    raw = os.environ.get(variable, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None

@@ -212,7 +212,6 @@ def _windowed(requests: Sequence[EvaluationRequest], window: int):
 
 def replay_coalesced(
     trace: Sequence[Dict],
-    workers: int = 1,
     window: int = 128,
     store: Optional[ResultStore] = None,
     chaos=None,
@@ -232,7 +231,7 @@ def replay_coalesced(
     request's arrival (its window starting to submit) to its future
     resolving, feeding :func:`latency_percentiles`.
     """
-    scheduler = EvaluationScheduler(store=store, workers=workers, chaos=chaos)
+    scheduler = EvaluationScheduler(store=store, chaos=chaos)
     requests = [EvaluationRequest.from_dict(entry) for entry in trace]
     latencies: List[float] = [0.0] * len(requests)
     start = time.perf_counter()
@@ -256,7 +255,6 @@ def replay_coalesced(
 def replay_sharded(
     trace: Sequence[Dict],
     shards: int = 4,
-    pool_workers: int = 1,
     window: int = 128,
     store_dir: Optional[Union[str, Path]] = None,
     cold_start: bool = True,
@@ -305,8 +303,7 @@ def replay_sharded(
             tempdir = tempfile.TemporaryDirectory(prefix="repro-shard-replay-")
             store_dir = tempdir.name
         fleet = ShardFleet(
-            shards=shards, pool_workers=pool_workers,
-            store_dir=str(store_dir), cold_start=cold_start,
+            shards=shards, store_dir=str(store_dir), cold_start=cold_start,
             chaos_heartbeat=(
                 injector.heartbeat_options() if injector is not None else None
             ),

@@ -24,9 +24,9 @@ fast at:
 
 Failure handling follows the taxonomy in :mod:`repro.service.faults`:
 
-* A **retryable** dispatch failure (killed pool worker, injected
-  transient) is retried with jittered exponential backoff, up to the
-  family's smallest per-request ``max_retries`` budget.
+* A **retryable** dispatch failure (an injected transient) is retried
+  with jittered exponential backoff, up to the family's smallest
+  per-request ``max_retries`` budget.
 * A failure that survives retries triggers **per-request isolation**:
   each member of the family is re-dispatched *alone through the same
   batched machinery* — config-axis derivation is elementwise per
@@ -66,7 +66,7 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.batch import BatchRunner, pool_rebuilds, process_energy_cache
+from repro.core.batch import BatchRunner, process_energy_cache
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.faults import (
     BACKOFF_BASE_ENV,
@@ -84,12 +84,11 @@ from repro.service.faults import (
     QueueFullError,
     ShutdownError,
     backoff_s,
-    env_positive_float,
     is_retryable,
 )
-from repro.core.shared_cache import env_positive_int
 from repro.service.requests import EvaluationRequest
 from repro.service.store import ResultStore
+from repro.utils.env import env_positive_float, env_positive_int
 
 #: Seconds the background dispatcher waits after the first pending request
 #: so concurrent arrivals coalesce into the same tick.
@@ -164,9 +163,6 @@ class SchedulerStats:
             "queue_sheds": self.queue_sheds,
             "breaker_trips": self.breaker_trips,
             "breaker_short_circuits": self.breaker_short_circuits,
-            # Supervised-pool rebuilds are process-wide (the pool is
-            # shared), surfaced here so /healthz shows worker churn.
-            "pool_rebuilds": pool_rebuilds(),
             "term_hits": self.term_hits,
             "term_misses": self.term_misses,
             "term_derivations": self.term_derivations,
@@ -267,7 +263,7 @@ def evaluate_scalar(request: EvaluationRequest) -> Dict:
     against (see :func:`repro.service.replay.evaluate_serial`) and the
     scheduler's *last-resort per-request fallback*: when a request's
     batched dispatch fails even in isolation, this oracle path — no
-    process pool, no batched derivation — gets one chance to serve it
+    shared cache, no batched derivation — gets one chance to serve it
     before the failure is surfaced.  Payload shapes match the batched
     dispatchers so results are directly comparable.
     """
@@ -298,7 +294,6 @@ class EvaluationScheduler:
     def __init__(
         self,
         store: Optional[ResultStore] = None,
-        workers: int = 1,
         coalesce_window_s: float = DEFAULT_COALESCE_WINDOW_S,
         max_pending: Optional[int] = None,
         backoff_base_s: Optional[float] = None,
@@ -311,7 +306,9 @@ class EvaluationScheduler:
         # knobs (disk tier, LRU bound), so `python -m repro.service serve`
         # gets the documented persistence without extra wiring.
         self.store = store if store is not None else ResultStore.from_env()
-        self.runner = BatchRunner(workers=workers)
+        # Evaluation runs in this process: scale-out across processes is
+        # the shard fleet's job (repro.service.shard), not a pool's.
+        self.runner = BatchRunner(workers=1)
         self.stats = SchedulerStats()
         self.coalesce_window_s = coalesce_window_s
         # Fault-handling policy: explicit arguments win, then the
@@ -701,9 +698,9 @@ class EvaluationScheduler:
         """One ``run_grid`` over the family's (config x layer) product.
 
         Layers are profiled once through the scheduler-wide memo and
-        shipped as ``default_profiled`` distributions, so grid cells do
-        no profiling and resolve their per-action energies through the
-        worker-persistent cache (the same contract as
+        passed as ``default_profiled`` distributions, so the family's
+        energy tables come from the process cache in one ``derive_many``
+        pass and grid cells do no profiling (the same contract as
         :meth:`CiMLoopModel.sweep`).
         """
         first = family[0].request

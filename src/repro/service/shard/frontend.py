@@ -38,15 +38,15 @@ process from a fleet.  What is particular to the fleet lives here:
 from __future__ import annotations
 
 import collections
-import os
 import threading
 from concurrent.futures import InvalidStateError
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.service.faults import FleetDegradedError, env_positive_float
+from repro.service.faults import FleetDegradedError
 from repro.service.http import AsyncFrontend, EvaluationServiceHandler, Exchange
 from repro.service.shard.protocol import RemoteFault
 from repro.service.shard.worker import ShardFleet
+from repro.utils.env import env_positive_float, env_positive_int
 
 
 class FleetServiceHandler(EvaluationServiceHandler):
@@ -112,17 +112,6 @@ DEFAULT_MIN_QUORUM = 1
 MAX_REDISPATCH_ATTEMPTS = 8
 
 
-def _env_positive_int(variable: str) -> Optional[int]:
-    raw = os.environ.get(variable, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 0 else None
-
-
 class FleetSupervisor:
     """Heartbeat failure detector + crash recovery for a :class:`ShardFleet`.
 
@@ -165,12 +154,13 @@ class FleetSupervisor:
             )
         self.heartbeat_timeout_s = heartbeat_timeout_s
         if restart_budget is None:
-            restart_budget = _env_positive_int(RESTART_BUDGET_ENV)
+            # 0 is a valid budget: recover in-flight work, never respawn.
+            restart_budget = env_positive_int(RESTART_BUDGET_ENV, minimum=0)
             if restart_budget is None:
                 restart_budget = DEFAULT_RESTART_BUDGET
         self.restart_budget = restart_budget
         if min_quorum is None:
-            min_quorum = _env_positive_int(QUORUM_ENV) or DEFAULT_MIN_QUORUM
+            min_quorum = env_positive_int(QUORUM_ENV) or DEFAULT_MIN_QUORUM
         self.min_quorum = max(1, min_quorum)
         self.respawn = respawn
         self._check_interval = max(0.01, min(
@@ -291,10 +281,19 @@ class FleetSupervisor:
         redispatched = failed = 0
         for record in pending:
             record.attempts += 1
-            if (
+            routed = (
                 record.attempts <= MAX_REDISPATCH_ATTEMPTS
                 and self.fleet.redispatch(record)
-            ):
+            )
+            while not routed and self._queue and record.attempts < MAX_REDISPATCH_ATTEMPTS:
+                # The op's new owner died after this recovery began (a
+                # kill, a corrupt frame).  Its recovery is queued behind
+                # this one on this thread, so waiting cannot heal the
+                # route: recover that shard now, then route the op again.
+                self._recover(*self._queue.popleft())
+                record.attempts += 1
+                routed = self.fleet.redispatch(record)
+            if routed:
                 redispatched += 1
                 continue
             failed += 1
@@ -371,7 +370,6 @@ def serve_sharded(
     host: str = "127.0.0.1",
     port: int = 8080,
     shards: int = 2,
-    pool_workers: int = 1,
     store_dir: Optional[str] = None,
     max_pending: Optional[int] = None,
     fleet: Optional[ShardFleet] = None,
@@ -387,8 +385,7 @@ def serve_sharded(
     requests.
     """
     fleet = fleet if fleet is not None else ShardFleet(
-        shards=shards, pool_workers=pool_workers,
-        store_dir=store_dir, max_pending=max_pending,
+        shards=shards, store_dir=store_dir, max_pending=max_pending,
     )
     if supervise and fleet.supervisor is None:
         FleetSupervisor(fleet).start()

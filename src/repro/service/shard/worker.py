@@ -3,12 +3,12 @@
 A *shard worker* is the single-process evaluation service wrapped in a
 child process: its own coalescing scheduler (with the full fault
 pipeline — retries, isolation, scalar rescue, breakers — and chaos
-wiring via the usual ``REPRO_CHAOS`` knobs), its own process pool, and a
-:class:`~repro.service.store.ResultStore` whose **disk tier is shared**
-across the fleet — every worker points at the same directory, writes are
-atomic and content-addressed, so any worker serves any hash the fleet
-has ever computed (term-granular energy entries share the disk the same
-way through ``REPRO_ENERGY_CACHE_DIR``).
+wiring via the usual ``REPRO_CHAOS`` knobs), evaluating in its own
+process, and a :class:`~repro.service.store.ResultStore` whose **disk
+tier is shared** across the fleet — every worker points at the same
+directory, writes are atomic and content-addressed, so any worker serves
+any hash the fleet has ever computed (term-granular energy entries share
+the disk the same way through ``REPRO_ENERGY_CACHE_DIR``).
 
 Three layers live here:
 
@@ -60,6 +60,7 @@ from repro.service.shard.protocol import (
     remote_fault,
 )
 from repro.service.shard.ring import DEFAULT_REPLICAS, HashRing, RingEmptyError
+from repro.utils.env import env_positive_float
 
 #: Seconds the parent waits for a freshly-forked worker's ready frame.
 DEFAULT_READY_TIMEOUT_S = 60.0
@@ -156,7 +157,6 @@ def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
     )
     scheduler_kwargs: Dict = {
         "store": store,
-        "workers": options.get("pool_workers", 1),
         "max_pending": options.get("max_pending"),
     }
     if options.get("coalesce_window_s") is not None:
@@ -546,7 +546,6 @@ class ShardFleet:
     def __init__(
         self,
         shards: int = 2,
-        pool_workers: int = 1,
         store_dir: Optional[str] = None,
         replicas: int = DEFAULT_REPLICAS,
         max_pending: Optional[int] = None,
@@ -558,9 +557,8 @@ class ShardFleet:
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
         if heartbeat_interval_s is None:
-            heartbeat_interval_s = float(
-                os.environ.get(HEARTBEAT_INTERVAL_ENV, "")
-                or DEFAULT_HEARTBEAT_INTERVAL_S
+            heartbeat_interval_s = (
+                env_positive_float(HEARTBEAT_INTERVAL_ENV) or DEFAULT_HEARTBEAT_INTERVAL_S
             )
         self.heartbeat_interval_s = heartbeat_interval_s
         self.ring = HashRing(replicas)
@@ -576,7 +574,6 @@ class ShardFleet:
         #: Chaos hook applied to every (current and future) shard channel.
         self.frame_corrupt_hook: Optional[Callable[[bytes], bytes]] = None
         self._options: Dict = {
-            "pool_workers": pool_workers,
             "store_dir": str(store_dir) if store_dir else None,
             "max_pending": max_pending,
             "coalesce_window_s": coalesce_window_s,

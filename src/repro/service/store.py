@@ -34,8 +34,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.core.shared_cache import env_positive_int
 from repro.utils.diskstore import atomic_write_json, evict_lru_files
+from repro.utils.env import env_positive_int
 
 RESULT_STORE_DIR_ENV = "REPRO_RESULT_STORE_DIR"
 RESULT_STORE_MAX_ENTRIES_ENV = "REPRO_RESULT_STORE_MAX_ENTRIES"

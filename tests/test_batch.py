@@ -328,6 +328,51 @@ class TestSharedPool:
         assert first is not second
         batch.shutdown_shared_pool()
 
+    def test_pool_scores_tables_derived_after_it_forked(self):
+        """Configs the parent first derives after the pool forked reach the
+        live workers in the cell payloads: results are bitwise equal to the
+        in-process run."""
+        from repro.core import batch
+        from repro.workloads.networks import Network
+
+        network = Network(name="head", layers=tuple(list(resnet18())[:3]))
+        # cycle_time_ns=29 keeps these (config, layer) pairs unique to this
+        # test, so no table exists anywhere when the pool forks.
+        configs = [
+            macro_b().with_updates(cycle_time_ns=29.0, adc_resolution=resolution)
+            for resolution in (5, 7)
+        ]
+        configs.append(SystemConfig(macro=configs[0]))
+        batch.shutdown_shared_pool()
+        try:
+            batch.shared_pool(2)
+            cache = batch.process_energy_cache()
+            key = PerActionEnergyCache.key_for(CiMMacro(configs[0]), network.layers[0])
+            assert key not in cache._entries
+            pooled = BatchRunner(workers=2).run_grid(configs, network)
+        finally:
+            batch.shutdown_shared_pool()
+        inline = BatchRunner(workers=1).run_grid(configs, network)
+        assert pooled == inline
+
+    def test_shipped_table_cell_neither_profiles_nor_reads_a_cache(self, monkeypatch):
+        from repro.architecture import macro as macro_module
+        from repro.core import batch, model
+        from repro.workloads import distributions
+
+        config, layer = macro_b(), _layer(3)
+        table = PerActionEnergyCache().get(CiMMacro(config), layer)
+        expected = CiMLoopModel(config).evaluate_layer(layer)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell with a shipped table profiled or read a cache")
+
+        for owner in (macro_module, model, distributions):
+            monkeypatch.setattr(owner, "profile_layer", refuse)
+        monkeypatch.setattr(PerActionEnergyCache, "get", refuse)
+        payload = (config, layer, None, True, True, True, table)
+        assert batch._evaluate_grid_cell(payload) == expected
+
     def test_mapping_search_ships_parent_cached_energies(self):
         """Per-action energies are derived once in the parent and reused by
         later searches over the same (config, layer) pairs."""

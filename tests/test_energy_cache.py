@@ -4,8 +4,8 @@ The disk-backed :class:`DiskEnergyCache` must round-trip energies across
 cache instances (zero derivations on a warm run), key on the full frozen
 config + layer fingerprint (any design change lands on a different
 entry), and recover from corrupted files by recomputing.  The
-worker-persistent process cache must keep serving repeated parallel runs
-without re-deriving.
+process-wide cache must keep serving repeated parallel runs without
+re-deriving.
 """
 
 import json

@@ -456,7 +456,7 @@ class TestHTTPService:
         assert status == 200 and health["status"] == "ok"
         assert health["scheduler"]["submitted"] >= 1
         assert "store" in health and "energy_cache" in health
-        assert "shared_tier" in health["energy_cache"]  # slab visibility
+        assert {"term_tier", "disk_tier"} <= set(health["energy_cache"])
 
     def test_batch_endpoint_coalesces_duplicates(self, server):
         body = {"macro": "base_macro", "workload": "mvm_32x32",

@@ -7,14 +7,13 @@ failure isolation (a poisoned request fails alone, its family's healthy
 members complete bitwise-identically to a clean run), retries with
 backoff, the scalar-oracle rescue, deadlines, bounded-queue admission
 control, shutdown semantics of :meth:`EvaluationScheduler.close`,
-corruption quarantine in the result store and disk energy cache,
-graceful shared-slab degradation, the deterministic chaos injector, and
+corruption quarantine in the result store and disk energy cache, the
+deterministic chaos injector, and
 the HTTP front end's fault-to-status mapping (400/429/503/504/500 +
 ``Retry-After``), identical from a single process and from a fleet.
 """
 
 import json
-import struct
 import time
 import urllib.error
 import urllib.request
@@ -69,12 +68,9 @@ def _fast_scheduler(**kwargs):
 # ----------------------------------------------------------------------
 class TestTaxonomy:
     def test_classification(self):
-        from concurrent.futures.process import BrokenProcessPool
-
         assert is_retryable(RetryableError("flaky"))
         assert is_retryable(QueueFullError("full"))
         assert is_retryable(ChaosError("injected"))
-        assert is_retryable(BrokenProcessPool("worker died"))
         assert not is_retryable(PermanentError("no"))
         assert not is_retryable(ShutdownError("closing"))
         assert not is_retryable(DeadlineExceeded("late"))
@@ -445,22 +441,6 @@ class TestQuarantine:
         assert cache.load_canonical("some|key") is None
         assert cache.load_failures == 1  # clean miss, not a re-parse
 
-    def test_shared_slab_scribbles_degrade_to_misses(self):
-        from repro.core.shared_cache import SharedEnergyStore
-
-        store = SharedEnergyStore.create(prefix="test_faults_slab")
-        if store is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            assert store.put("k", {"read": 1.0, "write": 2.0})
-            assert store.lookup("k") == {"read": 1.0, "write": 2.0}
-            offset = store._index["k"][0]
-            store._shm.buf[offset:offset + 8] = struct.pack("<d", float("nan"))
-            assert store.lookup("k") is None  # re-derive, don't serve NaN
-            assert store.stats()["lookup_failures"] == 1
-        finally:
-            store.close()
-
 
 # ----------------------------------------------------------------------
 # Chaos injection
@@ -547,8 +527,7 @@ FAULT_ANSWERS = [
 ]
 
 FAILURE_COUNTERS = ("retries", "fallbacks", "scalar_fallbacks", "deadline_expired",
-                    "queue_sheds", "breaker_trips", "breaker_short_circuits",
-                    "pool_rebuilds")
+                    "queue_sheds", "breaker_trips", "breaker_short_circuits")
 
 
 def _refuse(error):

@@ -219,6 +219,46 @@ class TestCrashRecovery:
         assert future.result(timeout=180) == evaluate_scalar(request)
         assert _wait(lambda: supervisor.detected_failures >= 1, timeout=10.0)
 
+    def test_owner_dying_during_a_recovery_loses_nothing(self, fleet):
+        """A recovered op's new owner may die before the op reaches it;
+        that owner's recovery is queued behind the running one on the
+        same thread, so the running recovery must perform it, not wait
+        for it."""
+        # Not started: recoveries run on this thread, as on the
+        # supervisor's, and channel deaths only queue.
+        supervisor = FleetSupervisor(fleet, heartbeat_timeout_s=60.0)
+        fleet.attach_supervisor(supervisor)
+        victim_id, victim = fleet.serving_clients()[0]
+        requests = [
+            EvaluationRequest(
+                macro="macro_b", workload="mvm_64x64",
+                overrides={"adc_resolution": 4 + i % 4, "dac_resolution": 1 + i // 4},
+            )
+            for i in range(16)
+        ]
+        requests = [
+            request for request in requests
+            if fleet.ring.route(request.content_hash()) == victim_id
+        ][:3]
+        os.kill(victim.process.pid, signal.SIGSTOP)  # park the ops on it
+        futures = [fleet.submit(request) for request in requests]
+        add_shard = fleet.add_shard
+
+        def add_then_kill(shard_id=None):
+            # The first replacement dies before anything is re-dispatched.
+            fleet.add_shard = add_shard
+            added = fleet.client_for(add_shard(shard_id))
+            os.kill(added.process.pid, signal.SIGKILL)
+            assert _wait(lambda: not added.alive and supervisor._queue)
+            return added.shard_id
+
+        fleet.add_shard = add_then_kill
+        supervisor._recover(victim, "test: stopped")
+        for request, future in zip(requests, futures):
+            assert future.result(timeout=180) == evaluate_scalar(request)
+        assert supervisor.failed_redispatches == 0
+        assert supervisor.detected_failures == 2
+
     def test_quorum_loss_degrades_and_live_add_restores(self, tmp_path):
         fleet = ShardFleet(
             shards=1,
