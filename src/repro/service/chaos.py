@@ -254,8 +254,9 @@ class FleetChaosConfig:
 class FleetChaosInjector:
     """Seeded fleet-fabric fault injector for a sharded replay.
 
-    The replay driver calls :meth:`on_request` with each request's trace
-    index (scheduled kills) and :meth:`on_window` once per dispatch
+    The replay driver calls :meth:`on_request` with the trace index at
+    which each of its fleet calls starts (scheduled kills; a kill inside
+    a window splits that window's call in two) and :meth:`on_window` once per dispatch
     window (probabilistic kills); :meth:`install` arms per-frame
     corruption on every current and future shard channel.  Worker-side
     heartbeat delay is not injected from here — it rides into the

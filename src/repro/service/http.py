@@ -6,9 +6,12 @@ keep-alive; an HTTP/1.0 client opts in with ``Connection: keep-alive``),
 and each reply leaves as one buffer, head and body in a single send.
 The loop (:class:`AsyncFrontend`) parses requests and writes replies;
 its routing half (:class:`EvaluationServiceHandler`) turns each request
-into calls on a *backend* that offers three methods:
+into calls on a *backend* that offers four methods:
 
 * ``submit(request) -> Future`` of the result payload,
+* ``submit_many(requests) -> list``, one item per request in order: its
+  future, or the exception that refused it at admission (a batch reaches
+  the backend in one call, so a fleet can send each shard one frame),
 * ``result_lookup(hash) -> Future`` of the stored payload, or None,
 * ``health() -> dict``.
 
@@ -277,10 +280,10 @@ class Exchange(NamedTuple):
 class EvaluationServiceHandler:
     """The routing half of the front end: evaluation routes over a backend.
 
-    The backend is reached only through ``submit``, ``result_lookup``
-    and ``health``.  A deployment with routes of its own subclasses this
-    and hands every other request to ``super()._route`` (the fleet's
-    ``/shards`` routes live in
+    The backend is reached only through ``submit``, ``submit_many``,
+    ``result_lookup`` and ``health``.  A deployment with routes of its
+    own subclasses this and hands every other request to
+    ``super()._route`` (the fleet's ``/shards`` routes live in
     :class:`repro.service.shard.frontend.FleetServiceHandler`).
     """
 
@@ -310,13 +313,17 @@ class EvaluationServiceHandler:
             ):
                 raise ServiceError('batch body must be {"requests": [...]}')
             # Every member is validated before any is submitted, so the
-            # batch reaches the backend at once and shares its dispatch
-            # tick.  A member that fails validation or admission becomes
-            # an inline envelope: one bad request never sinks its batch.
+            # batch reaches the backend in one call and shares its
+            # dispatch tick.  A member that fails validation or admission
+            # becomes an inline envelope: one bad request never sinks its
+            # batch.
             requests = [_attempt(EvaluationRequest.from_dict, entry)
                         for entry in payload["requests"]]
-            futures = [request if isinstance(request, Exception)
-                       else _attempt(self.backend.submit, request) for request in requests]
+            submitted = iter(self.backend.submit_many(
+                [request for request in requests if not isinstance(request, Exception)]
+            ))
+            futures = [request if isinstance(request, Exception) else next(submitted)
+                       for request in requests]
             self._respond_future(
                 exchange, _gather(futures), shape=lambda results: {"results": results}
             )

@@ -264,9 +264,11 @@ def replay_sharded(
 ) -> Tuple[List[Dict], float, Dict, List[float]]:
     """Replay a trace through a shard fleet (the parallel counterpart).
 
-    Each window's requests route by content hash across ``shards``
-    worker processes, which coalesce/dedup/store-hit independently and
-    share one disk result tier (a temporary directory when ``store_dir``
+    Each window reaches the fleet in one ``submit_many`` call: duplicates
+    of a hash already in flight stop at the front end, the rest route by
+    content hash across ``shards`` worker processes (one frame per
+    shard), which coalesce/dedup/store-hit independently and share one
+    disk result tier (a temporary directory when ``store_dir``
     is not given).  ``cold_start`` makes each worker invalidate its
     fork-inherited energy cache, so a benchmark compares cold fleet
     against cold single scheduler.  Pass an existing ``fleet`` to reuse
@@ -320,16 +322,27 @@ def replay_sharded(
             if injector is not None:
                 injector.on_window()
             arrival = time.perf_counter()
+            # A window reaches the fleet in one call, unless a scheduled
+            # kill falls inside it: the kill then fires between two calls,
+            # while the members before it are in flight.
+            cuts = sorted(
+                index - begin for index in (injector.kill_at if injector else ())
+                if begin < index < begin + len(chunk)
+            )
             futures = []
-            for offset, request in enumerate(chunk):
+            for low, high in zip([0] + cuts, cuts + [len(chunk)]):
                 if injector is not None:
-                    injector.on_request(begin + offset)
-                future = fleet.submit(request)
-                future.add_done_callback(
-                    lambda done, i=begin + offset, t=arrival:
-                        latencies.__setitem__(i, time.perf_counter() - t)
-                )
-                futures.append(future)
+                    injector.on_request(begin + low)
+                for offset, outcome in enumerate(
+                    fleet.submit_many(chunk[low:high]), start=low
+                ):
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    outcome.add_done_callback(
+                        lambda done, i=begin + offset, t=arrival:
+                            latencies.__setitem__(i, time.perf_counter() - t)
+                    )
+                    futures.append(outcome)
             results.extend(future.result() for future in futures)
         elapsed = time.perf_counter() - start
         if injector is not None:

@@ -222,7 +222,10 @@ class EvaluationRequest:
         )
         # Resolve the config and workload once, at submission time: bad
         # requests surface as 400s (not dispatch-time 500s), and dispatch
-        # reuses the resolved objects instead of rebuilding them.
+        # reuses the resolved objects instead of rebuilding them.  The
+        # canonical form and its hash are memoized on first use.
+        object.__setattr__(self, "_canonical", None)
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_config", self._resolve_config())
         object.__setattr__(self, "_network", None)
         if self.objective != "area":
@@ -289,35 +292,43 @@ class EvaluationRequest:
             payload["seed"] = self.seed
         return payload
 
-    def transport_dict(self) -> Dict[str, object]:
-        """The canonical dict *plus* execution hints, for forwarding.
+    def execution_hints(self) -> Dict[str, object]:
+        """The execution hints that differ from their defaults.
 
-        The sharded front end routes by content hash but must not strip
-        a request's scheduling hints on the way to its shard worker:
-        hints are excluded from :meth:`to_dict` (they are not part of the
-        request's identity) yet the worker's scheduler still honours
-        them.  Round-trips through :meth:`from_dict` to an equal request,
-        hints included.
+        Hints are excluded from :meth:`to_dict` (they are not part of the
+        request's identity), yet a shard worker's scheduler must still
+        honour them, so the fleet ships them beside the canonical form:
+        ``from_dict(json.loads(canonical_json()) | execution_hints())``
+        is an equal request with the same hash.
         """
-        payload = self.to_dict()
+        hints: Dict[str, object] = {}
         if self.deadline_ms is not None:
-            payload["deadline_ms"] = self.deadline_ms
+            hints["deadline_ms"] = self.deadline_ms
         if self.max_retries != DEFAULT_MAX_RETRIES:
-            payload["max_retries"] = self.max_retries
-        return payload
+            hints["max_retries"] = self.max_retries
+        return hints
 
     def canonical_json(self) -> str:
         """Byte-stable serialisation: sorted keys, no whitespace.
 
         Key order, insignificant whitespace, omitted-default fields, and
         integral floats all collapse to one canonical form, so requests
-        that *mean* the same thing hash the same.
+        that *mean* the same thing hash the same.  Computed once per
+        request (a request is an immutable value).
         """
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = self._canonical
+        if canonical is None:
+            canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_canonical", canonical)
+        return canonical
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical form: the request's service-wide identity."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        digest = self._hash
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_hash", digest)
+        return digest
 
     # ------------------------------------------------------------------
     # Resolution onto the core model

@@ -50,8 +50,9 @@ Two consumption styles share the machinery: :meth:`submit` +
 tick by hand), while :meth:`start` runs a background dispatcher thread
 with a small coalescing window — the HTTP front end submits from its
 event loop and replies when the returned future resolves, reaching the
-scheduler only through :meth:`submit`, :meth:`result_lookup` and
-:meth:`health`, the same backend interface a shard fleet offers.
+scheduler only through :meth:`submit`, :meth:`submit_many`,
+:meth:`result_lookup` and :meth:`health`, the same backend interface a
+shard fleet offers.
 :meth:`close` drains the dispatcher and fails any still-unresolved
 future with :class:`~repro.service.faults.ShutdownError`; no waiter is
 ever left blocked.
@@ -428,6 +429,39 @@ class EvaluationScheduler:
             self._pending[request_hash] = slot
             self._wakeup.notify_all()
         return future
+
+    def submit_many(self, requests: Sequence[EvaluationRequest]) -> List:
+        """:meth:`submit` each request in order.
+
+        Returns one item per request: its future, or the exception that
+        refused it at admission (queue full, shut down), so one refused
+        member never sinks the others.
+        """
+        outcomes: List = []
+        for request in requests:
+            try:
+                outcomes.append(self.submit(request))
+            except Exception as error:  # noqa: BLE001 - answered per member
+                outcomes.append(error)
+        return outcomes
+
+    def submit_stored(self, request_hash: str) -> Optional[Dict]:
+        """Answer a submission from the store by its content hash alone.
+
+        A hit is counted as submitted and as a store hit, exactly as
+        :meth:`submit` counts it, without the request ever being built;
+        a miss returns None and counts nothing (the caller then builds
+        the request and submits it).  A shard worker answers its hot
+        traffic this way.
+        """
+        if self._closed:
+            raise ShutdownError("scheduler is shut down; request not accepted")
+        cached = self.store.get(request_hash)
+        if cached is not None:
+            with self._lock:
+                self.stats.submitted += 1
+                self.stats.store_hits += 1
+        return cached
 
     def result_lookup(self, request_hash: str) -> "Future":
         """The stored result of a hash (None if never computed), as a

@@ -7,9 +7,10 @@ process from a fleet.  What is particular to the fleet lives here:
 
 * :class:`FleetServiceHandler` — the evaluation routes over a
   :class:`ShardFleet` backend (requests are validated locally, so a
-  malformed one answers 400 without ever crossing a channel, then routed
-  by content hash over the consistent-hash ring), plus the
-  fleet-management routes:
+  malformed one answers 400 without ever crossing a channel; a batch
+  then reaches the fleet in one ``submit_many`` call, which drops
+  duplicates of in-flight hashes and sends each shard one frame), plus
+  the fleet-management routes:
 
   * ``GET /shards`` and ``GET /shards/<id>/healthz`` — membership
     listing and per-shard passthrough.

@@ -10,18 +10,40 @@ selectors-based front end needs.
 
 Message shapes
 --------------
+Every frame is a JSON object with an integer ``id``; anything else is a
+:class:`ProtocolError` at decode, on both ends.
+
 Requests (front end -> worker)::
 
-    {"id": N, "op": "evaluate", "request": {...}}   # one request payload
+    {"id": N, "op": "evaluate", "members": [          # one frame per shard
+        {"id": C, "hash": "<sha256>",                 # per-member correlation
+         "request": "<canonical JSON>",               # hashes to "hash"
+         "hints": {"deadline_ms": ..., "max_retries": ...}},  # optional
+        ...]}
     {"id": N, "op": "result", "hash": "<sha256>"}   # store lookup
     {"id": N, "op": "healthz"}                      # scheduler health
     {"id": N, "op": "shutdown"}                     # drain + final stats
 
+An ``evaluate`` frame carries every member the front end routed to that
+shard in one call; ``N`` is its first member's correlation id.  The
+worker checks ``sha256(request) == hash`` (a mismatch is a
+``ProtocolError`` fault for that member, never a result), answers store
+hits from the hash alone, and builds and submits a request only on a
+miss.
+
 Replies (worker -> front end)::
 
-    {"id": N, "ok": true, "result": {...}}
-    {"id": N, "ok": false,
+    {"id": C, "ok": true, "result": {...}}
+    {"id": C, "ok": false,
      "error": {"type": ..., "message": ..., "retry_after_s": ...}}
+    {"id": N, "replies": [<reply>, ...]}   # members answered on receipt
+
+The members of an ``evaluate`` frame the worker could answer on receipt
+(store hits, faults) come back together in one ``replies`` frame, split
+across frames when it would exceed :data:`MAX_FRAME_BYTES`; members
+that wait on evaluation reply one by one as they complete.  Every result
+payload echoes its ``request_hash``, and the parent fails a member whose
+echo differs from the hash it routed with a ``ProtocolError``.
 
 Unsolicited worker frames use negative correlation ids: the one-time
 ready announcement (:data:`READY_ID`) and the periodic heartbeat
@@ -97,7 +119,13 @@ def encode_frame(message: Dict) -> bytes:
 
 
 class FrameDecoder:
-    """Incremental frame decoder: feed bytes, get complete messages."""
+    """Incremental frame decoder: feed bytes, get complete messages.
+
+    :meth:`feed` returns messages, returns nothing while a frame is
+    incomplete, or raises :class:`ProtocolError` (a length over
+    :data:`MAX_FRAME_BYTES`, bytes that are not JSON, JSON that is not an
+    object with an integer ``id``); it raises nothing else.
+    """
 
     def __init__(self):
         self._buffer = bytearray()
@@ -120,9 +148,15 @@ class FrameDecoder:
             blob = bytes(self._buffer[HEADER.size:HEADER.size + length])
             del self._buffer[:HEADER.size + length]
             try:
-                messages.append(json.loads(blob))
-            except ValueError as error:
+                message = json.loads(blob)
+            except (ValueError, RecursionError) as error:
                 raise ProtocolError(f"frame is not valid JSON: {error}") from None
+            if not isinstance(message, dict) or type(message.get("id")) is not int:
+                raise ProtocolError(
+                    "frame is not a JSON object with an integer id: "
+                    f"{blob[:80]!r}"
+                )
+            messages.append(message)
 
 
 def heartbeat_message(sequence: int, shard_id: str) -> Dict:

@@ -12,19 +12,28 @@ the disk the same way through ``REPRO_ENERGY_CACHE_DIR``).
 
 Three layers live here:
 
-* :func:`_worker_main` — the child-process loop: read frames, submit
-  ``evaluate`` ops into the scheduler, reply from future callbacks (so
-  many requests are in flight at once), answer ``healthz`` / ``result``
-  / ``shutdown``, and send a periodic heartbeat frame from a side
-  thread so the parent's failure detector never depends on channel EOF.
+* :func:`_worker_main` — the child-process loop: read frames, check
+  each ``evaluate`` member's canonical request against its routed hash,
+  answer store hits from the hash alone and send them back together,
+  submit misses into the scheduler and reply to each from its future's
+  callback (so many requests are in flight at once), answer ``healthz``
+  / ``result`` / ``shutdown``, and send a periodic heartbeat frame from a
+  side thread so the parent's failure detector never depends on channel
+  EOF.
 * :class:`ShardClient` — the parent-side handle: a framed socket, a
   correlation-id table of outstanding :class:`_PendingOp` records (each
   keeps the op, its fields, and its routing hash so a supervisor can
   **re-dispatch** it to another shard without failing the caller's
-  future), and one reader thread per worker.
+  future), and one reader thread per worker, which checks every
+  result's hash echo before resolving a future.
 * :class:`ShardFleet` — N workers behind a
-  :class:`~repro.service.shard.ring.HashRing`: ``submit`` routes by
-  content hash, ``add_shard`` / ``drain_shard`` change membership live,
+  :class:`~repro.service.shard.ring.HashRing`: ``submit_many`` drops
+  requests whose hash is already in flight onto that op's future, groups
+  the rest by ring owner and sends each owner one ``evaluate`` frame
+  (``submit`` is a one-request call; with ``result_lookup`` and
+  ``health`` these are the backend interface the HTTP front end calls,
+  :mod:`repro.service.http`), ``add_shard`` / ``drain_shard`` change
+  membership live,
   ``health`` merges per-shard payloads plus per-shard **liveness**
   (heartbeat age, misses, supervisor state) into one fleet payload.
   A :class:`~repro.service.shard.frontend.FleetSupervisor` may attach
@@ -35,6 +44,9 @@ Three layers live here:
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import multiprocessing
 import os
 import random
@@ -44,7 +56,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import Future, InvalidStateError
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.faults import FleetDegradedError
 from repro.service.requests import EvaluationRequest, ServiceError
@@ -90,9 +102,11 @@ class _ReplySender:
 
     A reply that cannot cross the channel is **counted**, never silently
     lost: ``dropped_replies`` is surfaced through the shard's healthz
-    payload (and summed into the fleet merge), and a result too large to
-    frame degrades to a framed error reply — the parent's future resolves
-    with a :class:`ProtocolError` fault instead of hanging forever.
+    payload (and summed into the fleet merge).  A reply set too large for
+    one frame is split in halves until each part fits, and a single
+    result too large to frame degrades to a framed error reply — the
+    parent's future resolves with a :class:`ProtocolError` fault instead
+    of hanging forever.
     """
 
     def __init__(self, conn: socket.socket):
@@ -103,10 +117,16 @@ class _ReplySender:
         self.alive = True
 
     def send(self, message: Dict, count_drop: bool = True) -> bool:
-        correlation = int(message.get("id", READY_ID))
+        replies = message.get("replies")
         try:
             blob = encode_frame(message)
         except ProtocolError as error:
+            if replies is not None and len(replies) > 1:
+                half = len(replies) // 2
+                sent = [self.send(dict(message, replies=part), count_drop)
+                        for part in (replies[:half], replies[half:])]
+                return all(sent)
+            correlation = replies[0]["id"] if replies else message["id"]
             if not (count_drop and correlation >= 0):
                 return False
             blob = encode_frame(fault_message(correlation, error))
@@ -116,19 +136,62 @@ class _ReplySender:
             return True
         except OSError:
             self.alive = False
-            if count_drop and correlation >= 0:
-                self.dropped_replies += 1
+            if count_drop and message["id"] >= 0:
+                self.dropped_replies += len(replies) if replies is not None else 1
             return False
+
+
+def _reply_message(correlation: int, future: Future) -> Dict:
+    """The reply frame of one resolved scheduler future."""
+    try:
+        result = future.result()
+    except BaseException as error:  # noqa: BLE001 - crosses the channel
+        return fault_message(correlation, error)
+    return {"id": correlation, "ok": True, "result": result}
+
+
+def _open_member(scheduler, member: Dict):
+    """Answer one ``evaluate`` member from the store, or submit it.
+
+    The member's canonical request must hash to the hash it was routed
+    by; a mismatch (a payload damaged on the way) raises
+    :class:`ProtocolError` and never yields a result.  A store hit is
+    answered from the hash alone and returned as the result payload; on
+    a miss the request is built (the only validation on this side) and
+    the scheduler future is returned.
+    """
+    request_hash, canonical = member.get("hash"), member.get("request")
+    hints = member.get("hints", {})
+    if not (isinstance(request_hash, str) and isinstance(canonical, str)
+            and isinstance(hints, dict)):
+        raise ProtocolError("malformed evaluate member")
+    if hashlib.sha256(canonical.encode("utf-8")).hexdigest() != request_hash:
+        raise ProtocolError(
+            f"request payload does not hash to its routed hash {request_hash[:12]}"
+        )
+    cached = scheduler.submit_stored(request_hash)
+    if cached is not None:
+        return cached
+    payload = json.loads(canonical)
+    if isinstance(payload, dict):
+        payload.update(hints)
+    request = EvaluationRequest.from_dict(payload)
+    if request.content_hash() != request_hash:
+        raise ProtocolError(
+            f"request does not re-canonicalise to its routed hash {request_hash[:12]}"
+        )
+    return scheduler.submit(request)
 
 
 def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
     """Run one shard worker until its channel closes or ``shutdown``.
 
-    The loop thread only parses frames and submits; replies are sent
-    from future done-callbacks (scheduler dispatcher thread), so a slow
-    evaluation never blocks later arrivals from joining the scheduler's
-    coalescing window.  A heartbeat thread beats every
-    ``heartbeat_interval_s`` independently of evaluation load.
+    The loop thread parses frames, answers what the store already holds
+    and submits the rest; replies to submitted work are sent from future
+    done-callbacks (scheduler dispatcher thread), so a slow evaluation
+    never blocks later arrivals from joining the scheduler's coalescing
+    window.  A heartbeat thread beats every ``heartbeat_interval_s``
+    independently of evaluation load.
     """
     from repro.core.batch import process_energy_cache
     from repro.service.scheduler import EvaluationScheduler
@@ -167,13 +230,34 @@ def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
     sender = _ReplySender(conn)
     protocol_errors = 0
 
-    def reply(correlation: int, future: Future) -> None:
-        try:
-            result = future.result()
-        except BaseException as error:  # noqa: BLE001 - crosses the channel
-            sender.send(fault_message(correlation, error))
-        else:
-            sender.send({"id": correlation, "ok": True, "result": result})
+    def evaluate(frame_id: int, members: List[Dict]) -> None:
+        """Answer what the store holds now, in one frame; reply to each
+        miss as its evaluation completes, so a hit never waits for one."""
+        nonlocal protocol_errors
+        if not isinstance(members, list):
+            raise ProtocolError("evaluate frame without a member list")
+        answered: List[Dict] = []
+        for member in members:
+            correlation = member.get("id") if isinstance(member, dict) else None
+            if type(correlation) is not int:
+                raise ProtocolError("evaluate member without an integer id")
+            try:
+                outcome = _open_member(scheduler, member)
+            except Exception as error:  # noqa: BLE001 - crosses the channel
+                if isinstance(error, ProtocolError):
+                    protocol_errors += 1
+                answered.append(fault_message(correlation, error))
+                continue
+            if not isinstance(outcome, Future):
+                answered.append({"id": correlation, "ok": True, "result": outcome})
+            elif outcome.done():
+                answered.append(_reply_message(correlation, outcome))
+            else:
+                outcome.add_done_callback(
+                    lambda done, c=correlation: sender.send(_reply_message(c, done))
+                )
+        if answered:
+            sender.send({"id": frame_id, "replies": answered})
 
     # Heartbeats: liveness decoupled from evaluation — a worker stuck in
     # a long dispatch still beats, a SIGKILLed/SIGSTOPped one goes quiet
@@ -225,62 +309,58 @@ def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
         try:
             messages = decoder.feed(data)
         except ProtocolError:
-            # A corrupt frame desynced the channel; there is no way to
-            # resynchronise a length-prefixed stream, so the worker exits
-            # and the parent's supervisor re-dispatches its in-flight
-            # work to surviving shards.
+            # A corrupt frame desynced the channel (or the parent sent a
+            # frame that is not an object with an integer id); there is no
+            # way to resynchronise a length-prefixed stream, so the worker
+            # exits and the parent's supervisor re-dispatches its
+            # in-flight work to surviving shards.
             protocol_errors += 1
             break
         for message in messages:
             op = message.get("op")
-            correlation = int(message.get("id", READY_ID))
-            if op == "evaluate":
-                try:
-                    request = EvaluationRequest.from_dict(message["request"])
-                    future = scheduler.submit(request)
-                except Exception as error:  # noqa: BLE001 - crosses the channel
-                    sender.send(fault_message(correlation, error))
-                    continue
-                future.add_done_callback(
-                    lambda done, c=correlation: reply(c, done)
-                )
-            elif op == "result":
-                # Shared disk tier: this worker can serve the hash even
-                # when another shard computed it.
-                sender.send({
-                    "id": correlation,
-                    "ok": True,
-                    "result": scheduler.store.get(str(message.get("hash", ""))),
-                })
-            elif op == "healthz":
-                payload = scheduler.health()
-                payload["shard"] = shard_id
-                payload["pid"] = os.getpid()
-                payload["dropped_replies"] = sender.dropped_replies
-                payload["protocol_errors"] = protocol_errors
-                payload["heartbeat"] = {
-                    "interval_s": interval,
-                    "sent": sender.heartbeats_sent,
-                }
-                sender.send({"id": correlation, "ok": True, "result": payload})
-            elif op == "shutdown":
-                # close() drains the dispatcher: every queued slot gets a
-                # final tick (its waiters' replies go out from callbacks
-                # above) before the final stats are reported.
-                beat_stop.set()
-                scheduler.close()
-                payload = scheduler.health()
-                payload["status"] = "drained"
-                payload["shard"] = shard_id
-                payload["pid"] = os.getpid()
-                payload["dropped_replies"] = sender.dropped_replies
-                payload["protocol_errors"] = protocol_errors
-                sender.send({"id": correlation, "ok": True, "result": payload})
-                running = False
-            else:
-                sender.send(fault_message(
-                    correlation, ServiceError(f"unknown shard op {op!r}")
-                ))
+            correlation = message["id"]
+            try:
+                if op == "evaluate":
+                    evaluate(correlation, message.get("members"))
+                elif op == "result":
+                    # Shared disk tier: this worker can serve the hash even
+                    # when another shard computed it.
+                    sender.send({
+                        "id": correlation,
+                        "ok": True,
+                        "result": scheduler.store.get(str(message.get("hash", ""))),
+                    })
+                elif op == "healthz":
+                    payload = scheduler.health()
+                    payload["shard"] = shard_id
+                    payload["pid"] = os.getpid()
+                    payload["dropped_replies"] = sender.dropped_replies
+                    payload["protocol_errors"] = protocol_errors
+                    payload["heartbeat"] = {
+                        "interval_s": interval,
+                        "sent": sender.heartbeats_sent,
+                    }
+                    sender.send({"id": correlation, "ok": True, "result": payload})
+                elif op == "shutdown":
+                    # close() drains the dispatcher: every queued slot gets
+                    # a final tick (its waiters' replies go out from their
+                    # callbacks) before the final stats are reported.
+                    beat_stop.set()
+                    scheduler.close()
+                    payload = scheduler.health()
+                    payload["status"] = "drained"
+                    payload["shard"] = shard_id
+                    payload["pid"] = os.getpid()
+                    payload["dropped_replies"] = sender.dropped_replies
+                    payload["protocol_errors"] = protocol_errors
+                    sender.send({"id": correlation, "ok": True, "result": payload})
+                    running = False
+                else:
+                    raise ServiceError(f"unknown shard op {op!r}")
+            except Exception as error:  # noqa: BLE001 - crosses the channel
+                if isinstance(error, ProtocolError):
+                    protocol_errors += 1
+                sender.send(fault_message(correlation, error))
     beat_stop.set()
     try:
         conn.close()
@@ -311,11 +391,36 @@ class _PendingOp:
         self.attempts = 0
 
     @property
-    def redispatchable(self) -> bool:
-        """Evaluate/result ops are deterministic and content-addressed,
-        so running one twice is safe (the shared store dedups); control
-        ops (healthz/shutdown) are bound to the dead shard and fail."""
+    def content_addressed(self) -> bool:
+        """Evaluate/result ops are deterministic and content-addressed:
+        running one twice is safe (the shared store dedups), so a
+        supervisor may re-dispatch it, and its result must echo its
+        hash.  Control ops (healthz/shutdown) are bound to their shard."""
         return self.op in ("evaluate", "result") and bool(self.request_hash)
+
+
+def _op_frames(ids: Sequence[int], records: Sequence[_PendingOp]) -> List[bytes]:
+    """The frames carrying ``records`` under correlation ids ``ids``."""
+    if records[0].op != "evaluate":
+        message = {"id": ids[0], "op": records[0].op}
+        message.update(records[0].fields)
+        return [encode_frame(message)]
+    return _member_frames([
+        dict(record.fields, id=correlation)
+        for correlation, record in zip(ids, records)
+    ])
+
+
+def _member_frames(members: List[Dict]) -> List[bytes]:
+    """One ``evaluate`` frame, or halves of it until each fits a frame."""
+    try:
+        return [encode_frame({"id": members[0]["id"], "op": "evaluate",
+                              "members": members})]
+    except ProtocolError:
+        if len(members) == 1:
+            raise
+        half = len(members) // 2
+        return _member_frames(members[:half]) + _member_frames(members[half:])
 
 
 class ShardClient:
@@ -367,16 +472,20 @@ class ShardClient:
             if not data:
                 break
             try:
-                messages = decoder.feed(data)
-            except ProtocolError:
-                # Desynced channel: unrecoverable, counted, treated as a
-                # channel death (the supervisor re-dispatches).
+                for message in decoder.feed(data):
+                    self._deliver(message)
+            except Exception:  # noqa: BLE001 - every undeliverable frame
+                # A frame that cannot be decoded or delivered means a
+                # desynced channel or a broken worker: unrecoverable,
+                # counted, and treated as a channel death (the supervisor
+                # re-dispatches).  Shutting the socket down tells the
+                # worker too.
                 self.protocol_errors += 1
+                try:
+                    self._sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 break
-            except Exception:  # noqa: BLE001 - defensive
-                break
-            for message in messages:
-                self._deliver(message)
         self.alive = False
         self._ready.set()  # unblock a starter waiting on a dead worker
         handler = self._on_closed
@@ -388,7 +497,7 @@ class ShardClient:
             ))
 
     def _deliver(self, message: Dict) -> None:
-        correlation = int(message.get("id", READY_ID))
+        correlation = message["id"]
         if correlation == HEARTBEAT_ID:
             self.last_heartbeat = time.monotonic()
             self.heartbeats_received += 1
@@ -397,15 +506,43 @@ class ShardClient:
             self.last_heartbeat = time.monotonic()
             self._ready.set()
             return
+        replies = message.get("replies")
+        if replies is None:
+            self._resolve(message)
+            return
+        for reply in replies:
+            self._resolve(reply)
+
+    def _resolve(self, reply: Dict) -> None:
+        """Resolve the op one reply answers, after checking its hash echo.
+
+        A result for another hash than the op was routed by fails the
+        op's future with :class:`ProtocolError`; it never resolves it.
+        """
+        correlation = reply["id"]
+        if type(correlation) is not int:
+            raise ProtocolError(f"reply without an integer id: {correlation!r}")
         with self._table_lock:
             record = self._pending.pop(correlation, None)
         if record is None:
             return
         try:
-            if message.get("ok"):
-                record.future.set_result(message.get("result"))
-            else:
-                record.future.set_exception(remote_fault(message.get("error") or {}))
+            if not reply.get("ok"):
+                record.future.set_exception(remote_fault(reply.get("error") or {}))
+                return
+            result = reply.get("result")
+            if record.content_addressed and not (
+                record.op == "result" and result is None
+            ):
+                echo = result.get("request_hash") if isinstance(result, dict) else None
+                if echo != record.request_hash:
+                    self.protocol_errors += 1
+                    record.future.set_exception(ProtocolError(
+                        f"shard {self.shard_id} answered hash "
+                        f"{record.request_hash[:12]} with a result for {str(echo)[:12]}"
+                    ))
+                    return
+            record.future.set_result(result)
         except InvalidStateError:  # pragma: no cover - defensive
             pass
 
@@ -439,64 +576,70 @@ class ShardClient:
         return records
 
     def dispatch(self, record: _PendingOp, fail_fast: bool = False) -> bool:
-        """Send one op record; False when this client can no longer take it.
+        """Send one op record; False when this client can no longer take it."""
+        return self.dispatch_many([record], fail_fast=fail_fast)
 
-        The record is registered *before* the write, so a channel that
-        dies mid-send strands nothing: the reader's exit hands the still
-        registered record to the supervisor, which re-dispatches it.
-        Without a supervisor (``fail_fast``), a send failure fails the
-        future immediately, preserving the standalone-client contract.
+    def dispatch_many(self, records: Sequence[_PendingOp],
+                      fail_fast: bool = False) -> bool:
+        """Send op records in one frame; False when this client can no
+        longer take them.
+
+        Several records must all be ``evaluate`` ops: they travel as the
+        members of one frame (split only to stay under
+        :data:`~repro.service.shard.protocol.MAX_FRAME_BYTES`), each under
+        its own correlation id.  Records are registered *before* the
+        write, so a channel that dies mid-send strands nothing: the
+        reader's exit hands the still registered records to the
+        supervisor, which re-dispatches each.  Without a supervisor
+        (``fail_fast``), a send failure fails the futures immediately,
+        preserving the standalone-client contract.
         """
         with self._table_lock:
             if not self.alive:
                 return False
-            correlation = self._next_id
-            self._next_id += 1
-            self._pending[correlation] = record
-        message = {"id": correlation, "op": record.op}
-        message.update(record.fields)
+            first = self._next_id
+            self._next_id += len(records)
+            for offset, record in enumerate(records):
+                self._pending[first + offset] = record
+        ids = range(first, first + len(records))
         try:
-            blob = encode_frame(message)
-            hook = self.corrupt_hook
-            if hook is not None:
-                blob = hook(blob)
+            blobs = _op_frames(ids, records)
             with self._send_lock:
-                self._sock.sendall(blob)
+                for blob in blobs:
+                    hook = self.corrupt_hook
+                    self._sock.sendall(hook(blob) if hook is not None else blob)
+        except ProtocolError as error:  # a record too large to frame
+            self._fail(ids, error)
         except OSError as error:
             if fail_fast:
-                with self._table_lock:
-                    self._pending.pop(correlation, None)
-                try:
-                    record.future.set_exception(RemoteFault(
-                        "ShutdownError",
-                        f"cannot reach shard {self.shard_id}: {error}",
-                    ))
-                except InvalidStateError:  # pragma: no cover - defensive
-                    pass
+                self._fail(ids, RemoteFault(
+                    "ShutdownError", f"cannot reach shard {self.shard_id}: {error}"
+                ))
         return True
+
+    def _fail(self, ids: Sequence[int], error: BaseException) -> None:
+        """Fail the still-registered ops of ``ids`` with ``error``."""
+        with self._table_lock:
+            records = [self._pending.pop(correlation, None) for correlation in ids]
+        for record in records:
+            if record is None:
+                continue
+            try:
+                record.future.set_exception(error)
+            except InvalidStateError:  # pragma: no cover - defensive
+                pass
 
     def send_op(self, op: str, *, request_hash: Optional[str] = None,
                 **fields) -> Future:
-        """Send one op frame; the future resolves with the worker's reply."""
+        """Send one op frame; the future resolves with the worker's reply.
+
+        An ``evaluate`` op's ``fields`` are one member's (``hash``,
+        ``request``, optional ``hints``)."""
         record = _PendingOp(Future(), op, fields, request_hash)
         if not self.dispatch(record, fail_fast=self._on_closed is None):
             record.future.set_exception(RemoteFault(
                 "ShutdownError", f"shard {self.shard_id} is gone"
             ))
-        return record.future
-
-    def evaluate(self, payload: Dict,
-                 request_hash: Optional[str] = None) -> Future:
-        """Submit one request payload; resolves to its result dict."""
-        return self.send_op("evaluate", request_hash=request_hash,
-                            request=payload)
-
-    def try_evaluate(self, payload: Dict, request_hash: str) -> Optional[Future]:
-        """Supervised submit: None (caller re-routes) when already dead."""
-        record = _PendingOp(Future(), "evaluate", {"request": payload},
-                            request_hash)
-        if not self.dispatch(record):
-            return None
         return record.future
 
     def call(self, op: str, timeout: float = 60.0, **fields) -> Dict:
@@ -573,6 +716,13 @@ class ShardFleet:
         self.supervisor = None
         #: Chaos hook applied to every (current and future) shard channel.
         self.frame_corrupt_hook: Optional[Callable[[bytes], bytes]] = None
+        #: Content hash -> (future, max_retries) of each deadline-free
+        #: evaluate op in flight: later requests for the hash attach to
+        #: the future instead of crossing the wire.
+        self._inflight: Dict[str, Tuple[Future, int]] = {}
+        #: Requests answered by attaching to an in-flight op; folded into
+        #: the merged ``scheduler.submitted`` / ``coalesced`` counters.
+        self.coalesced = 0
         self._options: Dict = {
             "store_dir": str(store_dir) if store_dir else None,
             "max_pending": max_pending,
@@ -754,7 +904,7 @@ class ShardFleet:
 
     def redispatch(self, record: _PendingOp) -> bool:
         """Route one recovered in-flight op to a live shard (same future)."""
-        if not record.redispatchable:
+        if not record.content_addressed:
             return False
         for _ in range(_ROUTE_ATTEMPTS):
             with self._lock:
@@ -786,35 +936,110 @@ class ShardFleet:
     # Serving
     # ------------------------------------------------------------------
     def submit(self, request: EvaluationRequest) -> Future:
-        """Route one request by content hash; resolves to its result."""
-        return self.submit_payload(request.transport_dict(),
-                                   request.content_hash())
+        """Route one request by content hash (a one-request
+        :meth:`submit_many`); raises when the fleet refuses it."""
+        [outcome] = self.submit_many([request])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
-    def submit_payload(self, payload: Dict, request_hash: str) -> Future:
-        """Route an already-validated payload by its content hash.
+    def submit_many(self, requests: Sequence[EvaluationRequest]) -> List:
+        """Route one call's requests by content hash: one frame per shard.
 
-        Routing and dispatch race with crash recovery: the chosen shard
-        may die in between, in which case the hash is re-routed on the
-        updated ring (membership changes are bounded-remap, so only the
-        dead shard's keys move).  A fleet below quorum refuses the
-        request with :class:`FleetDegradedError` instead of hanging it.
+        Returns one item per request, in order: the future of its result,
+        or the :class:`FleetDegradedError` of a fleet below quorum.  A
+        request whose hash already has an evaluate op in flight attaches
+        to that op's future and never crosses the wire, unless it carries
+        a deadline or more retries than that op: those go to their shard,
+        whose scheduler merges hints.  The rest are grouped by ring owner
+        and each owner gets one ``evaluate`` frame holding all of its
+        members; every member keeps its own :class:`_PendingOp`, so crash
+        recovery and re-dispatch stay per op.
         """
+        outcomes: List = []
+        records: List[_PendingOp] = []
+        tracked: List[_PendingOp] = []
+        with self._lock:
+            if self._degraded:
+                return [FleetDegradedError(self._degraded)] * len(requests)
+            for request in requests:
+                request_hash = request.content_hash()
+                inflight = self._inflight.get(request_hash)
+                if (
+                    inflight is not None
+                    and request.deadline_ms is None
+                    and request.max_retries <= inflight[1]
+                ):
+                    self.coalesced += 1
+                    outcomes.append(inflight[0])
+                    continue
+                fields = {"hash": request_hash, "request": request.canonical_json()}
+                hints = request.execution_hints()
+                if hints:
+                    fields["hints"] = hints
+                record = _PendingOp(Future(), "evaluate", fields, request_hash)
+                if inflight is None and request.deadline_ms is None:
+                    self._inflight[request_hash] = (record.future, request.max_retries)
+                    tracked.append(record)
+                records.append(record)
+                outcomes.append(record.future)
+        for record in tracked:
+            record.future.add_done_callback(
+                functools.partial(self._settled, record.request_hash)
+            )
+        self._route(records)
+        return outcomes
+
+    def _settled(self, request_hash: str, future: Future) -> None:
+        """Done-callback: a resolved op no longer takes attachments."""
+        with self._lock:
+            entry = self._inflight.get(request_hash)
+            if entry is not None and entry[0] is future:
+                del self._inflight[request_hash]
+
+    def _route(self, records: List[_PendingOp]) -> None:
+        """Send each record to its hash's ring owner, one frame per owner.
+
+        Routing and dispatch race with crash recovery: an owner may die
+        in between, and its records are then re-routed on the updated
+        ring (membership changes are bounded-remap, so only the dead
+        shard's hashes move).  Records no shard takes fail with
+        :class:`FleetDegradedError` instead of hanging.
+        """
+        failure: Optional[Exception] = None
         for _ in range(_ROUTE_ATTEMPTS):
+            groups: Dict[str, List[_PendingOp]] = {}
             with self._lock:
                 if self._degraded:
-                    raise FleetDegradedError(self._degraded)
-                shard_id = self.ring.route(request_hash)
-                client = self.clients[shard_id]
-            future = client.try_evaluate(payload, request_hash)
-            if future is not None:
-                return future
-            # The routed shard died between routing and dispatch; the
-            # supervisor is updating membership — re-route.
+                    failure = FleetDegradedError(self._degraded)
+                    break
+                try:
+                    for record in records:
+                        owner = self.ring.route(record.request_hash)
+                        groups.setdefault(owner, []).append(record)
+                except RingEmptyError as error:
+                    failure = error
+                    break
+                owners = [(self.clients[owner], group) for owner, group in groups.items()]
+            # A shard that died between routing and dispatch refuses its
+            # group; the supervisor is updating membership — re-route.
+            records = [
+                record for client, group in owners
+                if not client.dispatch_many(group) for record in group
+            ]
+            if not records:
+                return
             time.sleep(0.005)
-        raise FleetDegradedError(
-            f"no live shard accepted hash {request_hash[:12]}… after "
-            f"{_ROUTE_ATTEMPTS} routing attempts"
-        )
+        if failure is None:
+            failure = FleetDegradedError(
+                f"no live shard accepted {len(records)} request(s) after "
+                f"{_ROUTE_ATTEMPTS} routing attempts"
+            )
+        for record in records:
+            try:
+                record.future.set_exception(failure)
+            except InvalidStateError:  # pragma: no cover - defensive
+                pass
 
     def result_lookup(self, request_hash: str) -> Future:
         """Content-addressed store lookup on the hash's owning shard.
@@ -883,6 +1108,7 @@ class ShardFleet:
             supervisor=(
                 supervisor.stats_payload() if supervisor is not None else None
             ),
+            coalesced=self.coalesced,
         )
 
     def close(self) -> None:
@@ -905,12 +1131,16 @@ def merge_health(
     retired: List[Dict],
     liveness: Optional[Dict[str, Dict]] = None,
     supervisor: Optional[Dict] = None,
+    coalesced: int = 0,
 ) -> Dict:
     """Merge per-shard health payloads into the fleet-level report.
 
     Scheduler counters (and store counters) sum across serving *and*
     retired shards, so a drain never loses history; ratios are
-    recomputed from the summed counters rather than averaged.  Crashed
+    recomputed from the summed counters rather than averaged.  The
+    requests the front end ``coalesced`` onto in-flight ops count as
+    submitted and coalesced, as they would had a scheduler seen them, so
+    ``scheduler.submitted`` is every request the fleet took.  Crashed
     shards whose in-flight work was re-dispatched appear as
     ``crashed_shards`` (the fleet healed; status stays ``ok``); shards
     that died with requests unrecovered appear in ``lost`` and degrade
@@ -919,6 +1149,8 @@ def merge_health(
     sources = [p for p in shard_payloads.values() if "scheduler" in p]
     sources += [p for p in retired if isinstance(p, dict) and "scheduler" in p]
     scheduler = _sum_counters([p["scheduler"] for p in sources])
+    scheduler["submitted"] = scheduler.get("submitted", 0) + coalesced
+    scheduler["coalesced"] = scheduler.get("coalesced", 0) + coalesced
     term_lookups = scheduler.get("term_hits", 0) + scheduler.get("term_misses", 0)
     scheduler["term_hit_ratio"] = (
         scheduler.get("term_hits", 0) / term_lookups if term_lookups else 0.0

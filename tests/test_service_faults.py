@@ -554,19 +554,39 @@ class _Served:
         self._deliver = deliver
 
     def fail_submits(self, error, nth=None):
-        """Fail every submit with ``error``, or only the ``nth`` (1-based)."""
-        submit, calls = self.backend.submit, []
+        """Fail every submitted request with ``error``, or only the
+        ``nth`` distinct one (1-based), whether it arrives through
+        ``submit`` or ``submit_many``: each backend implements one of the
+        two through the other, so a request is counted once, by identity.
+        """
+        submit, submit_many, seen = self.backend.submit, self.backend.submit_many, []
+
+        def refused(request):
+            if not any(request is earlier for earlier in seen):
+                seen.append(request)
+            return nth is None or (len(seen) >= nth and seen[nth - 1] is request)
 
         def failing(request):
-            calls.append(request)
-            if nth is None or len(calls) == nth:
-                return self._deliver(error)
-            return submit(request)
+            return self._deliver(error) if refused(request) else submit(request)
+
+        def failing_many(requests):
+            outcomes = []
+            for request in requests:
+                if not refused(request):
+                    outcomes.extend(submit_many([request]))
+                    continue
+                try:
+                    outcomes.append(self._deliver(error))
+                except Exception as refusal:  # noqa: BLE001 - per member
+                    outcomes.append(refusal)
+            return outcomes
 
         self.backend.submit = failing
+        self.backend.submit_many = failing_many
 
     def restore(self):
         vars(self.backend).pop("submit", None)
+        vars(self.backend).pop("submit_many", None)
 
 
 class TestHTTPFaultMapping:

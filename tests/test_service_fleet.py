@@ -12,6 +12,7 @@ liveness surfaced through the fleet health payload.
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 
@@ -29,6 +30,7 @@ from repro.service.shard import (
     encode_frame,
     heartbeat_message,
 )
+from repro.service.shard import protocol
 from repro.service.shard.worker import _ReplySender
 
 #: Fast liveness for tests: beats every 50 ms, detector fires after
@@ -124,6 +126,29 @@ class TestReplySender:
         assert reply["id"] == 5
         assert reply["ok"] is False
         assert reply["error"]["type"] == "ProtocolError"
+
+    def test_reply_set_over_the_frame_limit_splits_until_each_part_fits(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2048)
+        left, right = socket.socketpair()
+        sender = _ReplySender(left)
+        replies = [{"id": i, "ok": True, "result": {"pad": "x" * 400}} for i in range(10)]
+        replies.append({"id": 10, "ok": True, "result": {"pad": "x" * 4096}})
+        assert sender.send({"id": 0, "replies": replies})
+        left.close()
+        stream = b""
+        while chunk := right.recv(1 << 16):
+            stream += chunk
+        right.close()
+        frames = FrameDecoder().feed(stream)
+        assert len(frames) > 1
+        delivered = [reply for frame in frames for reply in frame.get("replies", [frame])]
+        assert [reply["id"] for reply in delivered] == list(range(11))
+        assert delivered[:10] == replies[:10]
+        # The one reply no frame can hold degrades to a typed fault.
+        assert delivered[10]["error"]["type"] == "ProtocolError"
+        assert sender.dropped_replies == 0
 
     def test_heartbeats_are_never_counted_as_dropped_replies(self):
         left, right = socket.socketpair()
@@ -303,6 +328,176 @@ class TestCrashRecovery:
                 )
             assert supervisor.restarts_used == 1
             assert _wait(lambda: len(fleet.members()) == 1, timeout=10.0)
+        finally:
+            fleet.close()
+
+
+# ----------------------------------------------------------------------
+# Batched submission: one op frame per shard, duplicates stop at the
+# front end
+# ----------------------------------------------------------------------
+def _count_op_frames(fleet):
+    """Pass-through frame hooks: every evaluate frame each shard is sent."""
+    frames = {}
+    for shard_id, client in fleet.serving_clients():
+        def hook(blob, shard_id=shard_id):
+            message = FrameDecoder().feed(blob)[0]
+            if message.get("op") == "evaluate":
+                frames.setdefault(shard_id, []).append(message["members"])
+            return blob
+
+        client.corrupt_hook = hook
+    return frames
+
+
+class TestBatchedSubmission:
+    def test_one_op_frame_per_owning_shard_and_duplicates_cross_once(self, fleet):
+        unique = [_request(i) for i in range(4)] + [
+            EvaluationRequest(macro="macro_b", workload="mvm_64x64",
+                              overrides={"dac_resolution": 1 + i % 4})
+            for i in range(4)
+        ]
+        batch = [unique[(7 * i) % 8] for i in range(32)]  # 4 of each, interleaved
+        frames = _count_op_frames(fleet)
+        outcomes = fleet.submit_many(batch)
+        owners = {fleet.ring.route(request.content_hash()) for request in unique}
+        assert {shard: len(sent) for shard, sent in frames.items()} == {
+            shard: 1 for shard in owners
+        }
+        crossed = [member["hash"] for sent in frames.values()
+                   for members in sent for member in members]
+        assert sorted(crossed) == sorted(request.content_hash() for request in unique)
+        assert fleet.coalesced == len(batch) - len(unique)
+        oracle = {request.content_hash(): evaluate_scalar(request) for request in unique}
+        for request, future in zip(batch, outcomes):
+            assert future.result(timeout=180) == oracle[request.content_hash()]
+        # Front-end attachments count as submitted and coalesced.
+        health = fleet.health()
+        assert health["scheduler"]["submitted"] == len(batch)
+        assert health["scheduler"]["coalesced"] >= len(batch) - len(unique)
+        assert health["scheduler"]["dispatched_requests"] == len(unique)
+
+    def test_concurrent_callers_share_inflight_ops_without_losing_any(self, fleet):
+        """Front-end attachment and the reader threads' settle callbacks
+        share the in-flight map: under a short switch interval, every
+        request is still counted once and every hash evaluated once."""
+        unique = [_request(i) for i in range(4)] + [_request(i, "area") for i in range(2)]
+        calls = [[unique[(call + i) % len(unique)] for i in range(12)]
+                 for call in range(24)]
+        results, errors = {}, []
+
+        def caller(worker):
+            try:
+                for index in range(worker, len(calls), 6):
+                    outcomes = fleet.submit_many(calls[index])
+                    results[index] = [future.result(timeout=180) for future in outcomes]
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=180)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        oracle = {request.content_hash(): evaluate_scalar(request) for request in unique}
+        for index, batch in enumerate(calls):
+            assert results[index] == [oracle[r.content_hash()] for r in batch]
+        health = fleet.health()
+        assert health["scheduler"]["submitted"] == sum(len(batch) for batch in calls)
+        assert health["scheduler"]["dispatched_requests"] == len(unique)
+        # Settle callbacks run just after a future's waiters wake.
+        assert _wait(lambda: not fleet._inflight)
+
+    def test_hints_that_would_loosen_an_inflight_op_do_not_attach(self, fleet):
+        plain = _request(5)
+        with_deadline = EvaluationRequest.from_dict(plain.to_dict() | {"deadline_ms": 60000})
+        more_retries = EvaluationRequest.from_dict(plain.to_dict() | {"max_retries": 5})
+        frames = _count_op_frames(fleet)
+        outcomes = fleet.submit_many([plain, with_deadline, more_retries, plain])
+        [sent] = [members for sent in frames.values() for members in sent]
+        assert len(sent) == 3
+        assert [member.get("hints", {}) for member in sent] == [
+            {}, {"deadline_ms": 60000.0}, {"max_retries": 5},
+        ]
+        assert outcomes[3] is outcomes[0]
+        assert outcomes[1] is not outcomes[0] and outcomes[2] is not outcomes[0]
+        assert fleet.coalesced == 1
+        expected = evaluate_scalar(plain)
+        assert all(future.result(timeout=180) == expected for future in outcomes)
+
+    def test_an_inflight_op_with_a_deadline_takes_no_attachments(self, fleet):
+        plain = _request(6)
+        with_deadline = EvaluationRequest.from_dict(plain.to_dict() | {"deadline_ms": 60000})
+        outcomes = fleet.submit_many([with_deadline, plain])
+        assert outcomes[0] is not outcomes[1]
+        assert fleet.coalesced == 0
+        assert outcomes[1].result(timeout=180) == evaluate_scalar(plain)
+
+    def test_sigkill_with_a_multi_member_frame_in_flight_loses_nothing(self, fleet):
+        # A long heartbeat timeout: the stopped shard must be found by
+        # the SIGKILL's channel EOF, not declared dead before the frame
+        # is parked on it.
+        supervisor = FleetSupervisor(fleet, heartbeat_timeout_s=60.0).start()
+        victim_id, victim = fleet.serving_clients()[0]
+        requests = [
+            EvaluationRequest(
+                macro="macro_b", workload="mvm_64x64",
+                overrides={"adc_resolution": 4 + i % 4, "dac_resolution": 1 + i // 4},
+            )
+            for i in range(16)
+        ]
+        frames = _count_op_frames(fleet)
+        os.kill(victim.process.pid, signal.SIGSTOP)  # park the frame on it
+        try:
+            outcomes = fleet.submit_many(requests)
+            [sent] = frames[victim_id]
+            assert len(sent) > 1
+        finally:
+            os.kill(victim.process.pid, signal.SIGKILL)
+        for request, future in zip(requests, outcomes):
+            assert future.result(timeout=180) == evaluate_scalar(request)
+        # Each member was re-dispatched as its own op.
+        assert _wait(lambda: supervisor.redispatched_ops >= len(sent), timeout=10.0)
+        assert supervisor.failed_redispatches == 0
+
+    def test_store_hits_over_the_frame_limit_reply_in_split_frames(
+        self, tmp_path, monkeypatch
+    ):
+        # Forked workers inherit the limit: every frame either way must
+        # fit ~3 results, so a set of 8 hits must come back split.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 3000)
+        fleet = ShardFleet(shards=1, store_dir=str(tmp_path / "store"))
+        try:
+            requests = [
+                EvaluationRequest(macro="macro_b", workload="mvm_64x64",
+                                  overrides={"adc_resolution": 4 + i})
+                for i in range(8)
+            ]
+            expected = [future.result(timeout=180)
+                        for future in fleet.submit_many(requests)]
+            # Settle callbacks run just after a future's waiters wake.
+            assert _wait(lambda: not fleet._inflight)
+            [(_, client)] = fleet.serving_clients()
+            deliver, reply_sets = client._deliver, []
+
+            def counting(message):
+                if "replies" in message:
+                    reply_sets.append(len(message["replies"]))
+                deliver(message)
+
+            client._deliver = counting
+            results = [future.result(timeout=60)
+                       for future in fleet.submit_many(requests)]
+            assert results == expected
+            assert len(reply_sets) > 1 and sum(reply_sets) == len(requests)
+            assert expected == [evaluate_scalar(request) for request in requests]
         finally:
             fleet.close()
 

@@ -6,7 +6,10 @@ zero-loss drain contract under load, live shard add, and the shared
 selectors front end serving the fleet's routes.
 """
 
+import hashlib
 import json
+import multiprocessing
+import socket
 import threading
 import time
 import urllib.error
@@ -18,14 +21,17 @@ from repro.service.http import error_status
 from repro.service.requests import EvaluationRequest
 from repro.service.scheduler import evaluate_scalar
 from repro.service.shard import (
+    READY_ID,
     FrameDecoder,
     ProtocolError,
     RemoteFault,
+    ShardClient,
     ShardFleet,
     encode_frame,
     serve_sharded,
 )
-from repro.service.shard.protocol import fault_message, remote_fault
+from repro.service.shard.protocol import HEADER, fault_message, remote_fault
+from repro.service.shard.worker import _worker_main
 
 
 def _request(index=0, objective="energy"):
@@ -42,7 +48,8 @@ def _request(index=0, objective="energy"):
 # ----------------------------------------------------------------------
 class TestFraming:
     def test_roundtrip_single_frame(self):
-        message = {"id": 7, "op": "evaluate", "request": {"macro": "m"}}
+        message = {"id": 7, "op": "evaluate",
+                   "members": [{"id": 7, "hash": "h", "request": "{}"}]}
         decoder = FrameDecoder()
         assert decoder.feed(encode_frame(message)) == [message]
 
@@ -86,6 +93,161 @@ class TestFraming:
 
 
 # ----------------------------------------------------------------------
+# Channel integrity: undeliverable frames and hash echoes
+# ----------------------------------------------------------------------
+class _NoProcess:
+    """The process slot of a client whose worker end the test drives."""
+
+    pid = None
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+
+class _FakeWorker:
+    """The worker end of a socketpair, driven by the test."""
+
+    def __init__(self, on_closed=None):
+        self.sock, parent = socket.socketpair()
+        self.sock.settimeout(10)
+        self.decoder = FrameDecoder()
+        self.client = ShardClient("fake", parent, _NoProcess(), on_closed=on_closed)
+        self.sock.sendall(encode_frame({"id": READY_ID, "ok": True, "ready": "fake"}))
+        self.client.start(timeout=10)
+
+    def receive(self):
+        """The next frame the client sent."""
+        while True:
+            messages = self.decoder.feed(self.sock.recv(1 << 16))
+            if messages:
+                [message] = messages
+                return message
+
+    def send_raw(self, body: bytes):
+        self.sock.sendall(HEADER.pack(len(body)) + body)
+
+    def close(self):
+        self.sock.close()
+        self.client.close()
+
+
+def _until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not predicate():
+        time.sleep(0.01)
+    return predicate()
+
+
+_UNDELIVERABLE = [
+    b"[1,2]",                                   # parses, is not an object
+    b'{"id":"7","ok":true,"result":{}}',        # an object whose id is no integer
+    b'{"id":3,"replies":[[1,2]]}',              # a reply set holding a non-object
+]
+
+
+class TestChannelIntegrity:
+    @pytest.mark.parametrize("body", _UNDELIVERABLE)
+    def test_undeliverable_frame_is_a_channel_death_on_the_parent(self, body):
+        closed = []
+        worker = _FakeWorker(on_closed=closed.append)
+        try:
+            future = worker.client.send_op("healthz")
+            assert worker.receive()["op"] == "healthz"
+            worker.send_raw(body)
+            # The reader died *as a channel death*: marked dead, counted,
+            # and handed to the close hook that recovers pending work.
+            assert _until(lambda: closed == [worker.client])
+            assert not worker.client.alive
+            assert worker.client.protocol_errors == 1
+            assert worker.client.outstanding() == 1  # left for recovery
+            assert not future.done()
+        finally:
+            worker.close()
+
+    def test_unsupervised_reader_death_fails_pending_futures(self):
+        worker = _FakeWorker()
+        try:
+            future = worker.client.send_op("healthz")
+            worker.receive()
+            worker.send_raw(b"[1,2]")
+            with pytest.raises(RemoteFault) as excinfo:
+                future.result(timeout=5)
+            assert excinfo.value.remote_type == "ShutdownError"
+        finally:
+            worker.close()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_swapped_hash_echo_fails_the_op_never_resolves_it(self, batched):
+        worker = _FakeWorker()
+        try:
+            routed, other = _request(0), _request(1)
+            future = worker.client.send_op(
+                "evaluate", request_hash=routed.content_hash(),
+                hash=routed.content_hash(), request=routed.canonical_json(),
+            )
+            correlation = worker.receive()["members"][0]["id"]
+            reply = {"id": correlation, "ok": True,
+                     "result": {"request_hash": other.content_hash(), "summary": {}}}
+            worker.sock.sendall(encode_frame(
+                {"id": correlation, "replies": [reply]} if batched else reply
+            ))
+            with pytest.raises(ProtocolError) as excinfo:
+                future.result(timeout=5)
+            assert error_status(excinfo.value) == 500
+            assert worker.client.protocol_errors == 1
+            assert worker.client.alive  # the channel itself is fine
+            # A matching echo on the same channel still resolves.
+            future = worker.client.send_op(
+                "evaluate", request_hash=other.content_hash(),
+                hash=other.content_hash(), request=other.canonical_json(),
+            )
+            correlation = worker.receive()["members"][0]["id"]
+            worker.sock.sendall(encode_frame(dict(reply, id=correlation)))
+            assert future.result(timeout=5) == reply["result"]
+        finally:
+            worker.close()
+
+    def test_worker_gives_undeliverable_frames_the_same_typed_handling(self, tmp_path):
+        parent, child = socket.socketpair()
+        process = multiprocessing.Process(
+            target=_worker_main, args=(child, "shard-t", {"store_dir": str(tmp_path)}),
+            daemon=True,
+        )
+        process.start()
+        child.close()
+        parent.settimeout(60)
+        decoder = FrameDecoder()
+
+        def receive(correlation):
+            while True:
+                for message in decoder.feed(parent.recv(1 << 16)):
+                    if message["id"] == correlation:
+                        return message
+
+        try:
+            assert receive(READY_ID)["ready"] == "shard-t"
+            # An object frame with a bad member list: a typed fault reply,
+            # and the worker keeps serving.
+            parent.sendall(encode_frame({"id": 3, "op": "evaluate", "members": 5}))
+            reply = receive(3)
+            assert reply["ok"] is False
+            assert reply["error"]["type"] == "ProtocolError"
+            # A frame that is not an object: counted, and the worker exits
+            # cleanly (EOF to the parent) instead of with a traceback.
+            parent.sendall(HEADER.pack(5) + b"[1,2]")
+            process.join(timeout=60)
+            assert process.exitcode == 0
+        finally:
+            parent.close()
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=10)
+
+
+# ----------------------------------------------------------------------
 # Fleet end to end
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -122,9 +284,25 @@ class TestShardFleet:
     def test_result_lookup_misses_cleanly(self, fleet):
         assert fleet.result_lookup("0" * 64).result(timeout=30) is None
 
-    def test_worker_side_validation_fault_crosses_the_channel(self, fleet):
+    def test_payload_not_hashing_to_its_routed_hash_is_a_typed_fault(self, fleet):
         client = fleet.client_for(fleet.members()[0])
-        future = client.evaluate({"macro": "macro_b", "objective": "nope"})
+        canonical = _request(0).canonical_json()
+        routed = _request(1).content_hash()  # a hash the payload is not
+        future = client.send_op("evaluate", request_hash=routed,
+                                hash=routed, request=canonical)
+        with pytest.raises(RemoteFault) as excinfo:
+            future.result(timeout=30)
+        assert excinfo.value.remote_type == "ProtocolError"
+        assert error_status(excinfo.value) == 500
+
+    def test_worker_side_validation_fault_crosses_the_channel(self, fleet):
+        # Hashes correctly, but no build of this service accepts it.
+        canonical = json.dumps({"macro": "macro_b", "objective": "nope"},
+                               sort_keys=True, separators=(",", ":"))
+        routed = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        client = fleet.client_for(fleet.members()[0])
+        future = client.send_op("evaluate", request_hash=routed,
+                                hash=routed, request=canonical)
         with pytest.raises(RemoteFault) as excinfo:
             future.result(timeout=30)
         assert excinfo.value.remote_type == "ServiceError"
@@ -248,6 +426,35 @@ class TestAsyncFrontend:
         first, second = body["results"]
         assert first["request_hash"] == _request(1).content_hash()
         assert second["error"]["type"] == "ServiceError"
+
+    def test_batch_crosses_as_one_frame_per_owning_shard(self, frontend, fleet):
+        unique = [_request(index) for index in range(4)]
+        assert _until(lambda: not fleet._inflight)  # earlier tests' ops settled
+        frames = {}
+        for shard_id, client in fleet.serving_clients():
+            def hook(blob, shard_id=shard_id):
+                message = FrameDecoder().feed(blob)[0]
+                if message.get("op") == "evaluate":
+                    frames.setdefault(shard_id, []).append(
+                        [member["hash"] for member in message["members"]]
+                    )
+                return blob
+
+            client.corrupt_hook = hook
+        try:
+            status, body = _call(frontend, "POST", "/evaluate/batch", {
+                "requests": [request.to_dict() for request in unique * 3],
+            })
+        finally:
+            for _, client in fleet.serving_clients():
+                client.corrupt_hook = None
+        assert status == 200
+        assert body["results"] == [evaluate_scalar(request) for request in unique * 3]
+        owners = {fleet.ring.route(request.content_hash()) for request in unique}
+        assert {shard: len(sent) for shard, sent in frames.items()} == dict.fromkeys(owners, 1)
+        assert sorted(h for sent in frames.values() for hashes in sent for h in hashes) == sorted(
+            request.content_hash() for request in unique
+        )
 
     def test_validation_errors_are_http_400(self, frontend):
         status, body = _call(frontend, "POST", "/evaluate", {"macro": "macro_b",
