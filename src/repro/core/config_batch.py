@@ -53,6 +53,7 @@ relative error <= 1e-9, identical action ordering).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -776,9 +777,14 @@ def _assemble_areas(
 
     Shared by the cold and term-factored paths so both produce the exact
     same summation order (and therefore bitwise-identical matrices for
-    identical component columns).
+    identical component columns).  The columns are added one after the
+    other, left to right, as the scalar oracle's ``sum(breakdown.values())``
+    does.  ``np.sum(columns, axis=0)`` would not do this for every batch
+    size: with one config it reduces the stacked column as one contiguous
+    run, pairwise, and a config's area would then depend on how many
+    configs shared its batch.
     """
-    subtotal = np.sum(columns, axis=0)
+    subtotal = functools.reduce(np.add, columns)
     misc = subtotal * np.array(
         [c.misc_area_fraction for c in configs], dtype=np.float64
     )

@@ -6,14 +6,27 @@ keep-alive; an HTTP/1.0 client opts in with ``Connection: keep-alive``),
 and each reply leaves as one buffer, head and body in a single send.
 The loop (:class:`AsyncFrontend`) parses requests and writes replies;
 its routing half (:class:`EvaluationServiceHandler`) turns each request
-into calls on a *backend* that offers four methods:
+into calls on a *backend* that offers five methods:
 
+* ``stored(hash) -> bytes | None``, the reply bytes of a stored result
+  (``json.dumps(result, sort_keys=True)``) or None on a miss,
 * ``submit(request) -> Future`` of the result payload,
 * ``submit_many(requests) -> list``, one item per request in order: its
-  future, or the exception that refused it at admission (a batch reaches
-  the backend in one call, so a fleet can send each shard one frame),
+  future, or the exception that refused it (a batch's misses reach the
+  backend in one call, so they share a dispatch tick and a fleet can
+  send each shard one frame),
 * ``result_lookup(hash) -> Future`` of the stored payload, or None,
 * ``health() -> dict``.
+
+Store hits never reach ``submit``: the front end hashes every valid
+request and batch member (syntax checks and the hash are all a request
+costs before its store lookup, see :mod:`repro.service.requests`), asks
+``stored`` first, and splices the bytes of each hit verbatim into the
+``/evaluate``, ``/evaluate/batch`` and ``GET /result/<hash>`` replies —
+byte-identical to serialising the result again.  Each evaluate hit is
+counted once as submitted and once as a store hit: ``GET /healthz``
+folds the front end's ``store_hits`` into the backend's ``scheduler``
+counters.  Only misses are submitted.
 
 The in-process :class:`~repro.service.scheduler.EvaluationScheduler`
 (:func:`serve`) and the shard fleet (:mod:`repro.service.shard`) are both
@@ -228,13 +241,20 @@ def _parse_json(body: bytes):
         raise ServiceError(f"invalid JSON: {error}") from None
 
 
+def _json_bytes(payload) -> bytes:
+    """A reply body without its newline: stored bytes pass through."""
+    if isinstance(payload, bytes):
+        return payload
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
 def _http_response(
     status: int,
-    payload: Dict,
+    payload: Union[Dict, bytes],
     headers: Optional[Dict[str, str]],
     close: bool,
 ) -> bytes:
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    body = _json_bytes(payload) + b"\n"
     lines = [
         f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
         "Content-Type: application/json",
@@ -261,8 +281,9 @@ class Exchange(NamedTuple):
     conn: _Connection
     request: _Request
 
-    def reply(self, status: int, payload: Dict,
+    def reply(self, status: int, payload: Union[Dict, bytes],
               headers: Optional[Dict[str, str]] = None) -> None:
+        """Answer with a JSON payload, or with its already encoded bytes."""
         self.frontend._enqueue_response(
             self.conn, status, payload, headers, close=not self.request.keep_alive
         )
@@ -280,15 +301,17 @@ class Exchange(NamedTuple):
 class EvaluationServiceHandler:
     """The routing half of the front end: evaluation routes over a backend.
 
-    The backend is reached only through ``submit``, ``submit_many``,
-    ``result_lookup`` and ``health``.  A deployment with routes of its
-    own subclasses this and hands every other request to
+    The backend is reached only through ``stored``, ``submit``,
+    ``submit_many``, ``result_lookup`` and ``health``.  A deployment with
+    routes of its own subclasses this and hands every other request to
     ``super()._route`` (the fleet's ``/shards`` routes live in
     :class:`repro.service.shard.frontend.FleetServiceHandler`).
     """
 
     def __init__(self, backend):
         self.backend = backend
+        #: Evaluate requests answered from ``stored`` (loop thread only).
+        self.store_hits = 0
 
     def route(self, exchange: Exchange) -> None:
         """Answer one request, now or once its backend future resolves."""
@@ -305,28 +328,40 @@ class EvaluationServiceHandler:
             exchange.reject(405, f"method {method} not supported")
         elif path == "/evaluate":
             request = EvaluationRequest.from_dict(_parse_json(exchange.request.body))
-            self._respond_future(exchange, self.backend.submit(request))
+            blob = self.backend.stored(request.content_hash())
+            if blob is not None:
+                self.store_hits += 1
+                exchange.reply(200, blob)
+            else:
+                self._respond_future(exchange, self.backend.submit(request))
         elif path == "/evaluate/batch":
             payload = _parse_json(exchange.request.body)
             if not isinstance(payload, dict) or not isinstance(
                 payload.get("requests"), list
             ):
                 raise ServiceError('batch body must be {"requests": [...]}')
-            # Every member is validated before any is submitted, so the
-            # batch reaches the backend in one call and shares its
-            # dispatch tick.  A member that fails validation or admission
-            # becomes an inline envelope: one bad request never sinks its
-            # batch.
-            requests = [_attempt(EvaluationRequest.from_dict, entry)
-                        for entry in payload["requests"]]
-            submitted = iter(self.backend.submit_many(
-                [request for request in requests if not isinstance(request, Exception)]
-            ))
-            futures = [request if isinstance(request, Exception) else next(submitted)
-                       for request in requests]
-            self._respond_future(
-                exchange, _gather(futures), shape=lambda results: {"results": results}
-            )
+            # Every member is checked and hashed first: hits are answered
+            # from their stored bytes, and the misses reach the backend in
+            # one call, sharing its dispatch tick.  A member that fails
+            # validation, resolution or admission becomes an inline
+            # envelope: one bad request never sinks its batch.
+            members = [_attempt(EvaluationRequest.from_dict, entry)
+                       for entry in payload["requests"]]
+            misses = []
+            for index, member in enumerate(members):
+                if isinstance(member, Exception):
+                    continue
+                blob = self.backend.stored(member.content_hash())
+                if blob is None:
+                    misses.append(index)
+                else:
+                    self.store_hits += 1
+                    members[index] = blob
+            if misses:
+                outcomes = self.backend.submit_many([members[index] for index in misses])
+                for index, outcome in zip(misses, outcomes):
+                    members[index] = outcome
+            self._respond_future(exchange, _gather(members), shape=_batch_body)
         else:
             exchange.reject(404, f"unknown route {path!r}")
 
@@ -336,7 +371,14 @@ class EvaluationServiceHandler:
 
             def _collect() -> Dict:
                 payload = self.backend.health()
-                payload["frontend"] = frontend.stats()
+                hits = self.store_hits
+                payload["frontend"] = dict(frontend.stats(), store_hits=hits)
+                # Hits the front end answered are submissions the backend
+                # never saw.
+                scheduler = payload.get("scheduler")
+                if scheduler is not None:
+                    scheduler["submitted"] = scheduler.get("submitted", 0) + hits
+                    scheduler["store_hits"] = scheduler.get("store_hits", 0) + hits
                 return payload
 
             # Off the loop: a fleet's health waits on every shard.
@@ -350,6 +392,10 @@ class EvaluationServiceHandler:
                 c not in "0123456789abcdef" for c in request_hash
             ):
                 exchange.reject(404, f"{request_hash!r} is not a request hash")
+                return
+            blob = self.backend.stored(request_hash)
+            if blob is not None:
+                exchange.reply(200, blob)
                 return
             self._respond_future(
                 exchange, self.backend.result_lookup(request_hash),
@@ -386,19 +432,32 @@ def _attempt(function, argument):
         return error
 
 
-def _gather(futures: List) -> Future:
-    """One future resolving to every item's outcome, envelopes inline.
+def _batch_body(parts: List[bytes]) -> bytes:
+    """``json.dumps({"results": [...]}, sort_keys=True)`` spliced from
+    each member's encoded result or envelope."""
+    return b'{"results": [' + b", ".join(parts) + b"]}"
 
-    ``futures`` items may be :class:`Future` instances or exceptions
-    (submissions that failed synchronously); the aggregate resolves to a
-    list of result payloads / error envelopes in input order and never
-    raises.
+
+def _member_bytes(outcome) -> bytes:
+    """One batch member's reply bytes: a result, or its error envelope."""
+    if isinstance(outcome, BaseException):
+        outcome = error_envelope(outcome)
+    return _json_bytes(outcome)
+
+
+def _gather(items: List) -> Future:
+    """One future resolving to every member's reply bytes, in order.
+
+    ``items`` are a batch's members: a :class:`Future` of a result, an
+    exception (a member refused synchronously), or the stored bytes of a
+    hit.  The aggregate resolves to a list of encoded results and error
+    envelopes in input order and never raises.
     """
     aggregate: Future = Future()
-    slots: List[Optional[Dict]] = [
-        None if isinstance(item, Future) else error_envelope(item) for item in futures
+    slots: List[Optional[bytes]] = [
+        None if isinstance(item, Future) else _member_bytes(item) for item in items
     ]
-    remaining = sum(1 for item in futures if isinstance(item, Future))
+    remaining = sum(1 for item in items if isinstance(item, Future))
     if remaining == 0:
         aggregate.set_result(slots)
         return aggregate
@@ -407,16 +466,16 @@ def _gather(futures: List) -> Future:
     def _finish(index: int, future: Future) -> None:
         nonlocal remaining
         try:
-            slots[index] = future.result()
-        except Exception as error:  # noqa: BLE001 - inline envelope
-            slots[index] = error_envelope(error)
+            slots[index] = _member_bytes(future.result())
+        except Exception as error:  # noqa: BLE001 - inline envelope (a failed
+            slots[index] = _member_bytes(error)  # member, or a result JSON cannot hold)
         with lock:
             remaining -= 1
             done = remaining == 0
         if done:
             aggregate.set_result(slots)
 
-    for index, item in enumerate(futures):
+    for index, item in enumerate(items):
         if isinstance(item, Future):
             item.add_done_callback(lambda future, i=index: _finish(i, future))
     return aggregate
@@ -628,7 +687,7 @@ class AsyncFrontend:
         self,
         conn: _Connection,
         status: int,
-        payload: Dict,
+        payload: Union[Dict, bytes],
         headers: Optional[Dict[str, str]],
         close: bool,
     ) -> None:

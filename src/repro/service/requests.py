@@ -6,10 +6,11 @@ overrides), which workload (by registry name, or one inline layer), what
 to compute (an objective), and how hard to try (a mapping budget).  The
 schema is *versioned* and *canonically hashable*:
 
-* :meth:`EvaluationRequest.from_dict` validates an incoming payload —
-  unknown fields, unknown macros/objectives, and non-serializable
-  override values are rejected with a :class:`ServiceError` carrying a
-  human-readable message (the HTTP front end maps these to 400s).
+* :meth:`EvaluationRequest.from_dict` validates an incoming payload's
+  *syntax* — unknown fields, unknown macros/objectives, non-scalar
+  override or inline-layer values, missing inline-layer fields — and
+  rejects it with a :class:`ServiceError` carrying a human-readable
+  message (the HTTP front end maps these to 400s).
 * :meth:`EvaluationRequest.canonical_json` re-serialises the request with
   sorted keys, no whitespace, and all defaults materialised, so two
   requests that differ only in key order, whitespace, or omitted-default
@@ -18,11 +19,23 @@ schema is *versioned* and *canonically hashable*:
   form — the identity used by the result store (content addressing), the
   scheduler (in-flight coalescing), and the ``GET /result/<hash>`` route.
 
-Resolution helpers (:meth:`config`, :meth:`network`) turn the validated
-request into the core model's native objects; :meth:`family_key` is the
-grouping identity the coalescing scheduler batches by — requests in one
-family share a workload and an objective and therefore lower onto one
-config-axis batched dispatch.
+What stays eager and what waits: the syntax checks above run when the
+request is built, and the canonical form and its hash need nothing more,
+so a store hit costs one hash.  Resolving the request onto the core
+model — the macro config with its overrides applied (:meth:`config`),
+the workload (:meth:`network`), and the ``mappings`` objective's
+single-layer check — happens on first use; :meth:`resolve` does all of
+it at once.  The scheduler calls it for every store miss before queueing
+the miss, so a config the model rejects (``rows: -1``), an unknown
+workload name, or a malformed inline layer surfaces at submission as a
+:class:`ServiceError`: still a synchronous 400, or an inline envelope in
+a batch, never a dispatch-time failure.  A store hit is never resolved:
+only valid requests are ever stored, and ``version`` is part of the
+canonical form.
+
+:meth:`family_key` is the grouping identity the coalescing scheduler
+batches by — requests in one family share a workload and an objective
+and therefore lower onto one config-axis batched dispatch.
 """
 
 from __future__ import annotations
@@ -73,19 +86,38 @@ OBJECTIVES = ("energy", "area", "mappings")
 #: node is a nested object, so requests override it with plain numbers.
 _TECHNOLOGY_OVERRIDES = ("node_nm", "vdd")
 
-_CONFIG_FIELDS = {f.name for f in dataclass_fields(CiMMacroConfig)}
+_CONFIG_FIELDS = frozenset(f.name for f in dataclass_fields(CiMMacroConfig))
+
+#: The value types a config override may hold; an inline-layer field
+#: may also be null.
+_SCALARS = (int, float, str, bool)
+_LAYER_VALUES = _SCALARS + (type(None),)
 
 #: Inline-layer spec fields shared by both layer kinds.
 _LAYER_COMMON = ("input_bits", "weight_bits", "activation_style")
+
+#: Required fields of each inline layer kind, and the optional ones.
+_LAYER_REQUIRED = {
+    "matmul": ("name", "m", "k", "n"),
+    "conv2d": ("name", "in_channels", "out_channels", "height", "width", "kernel"),
+}
+_LAYER_OPTIONAL = frozenset(_LAYER_COMMON + ("kind", "batch"))
 
 
 class ServiceError(CiMLoopError):
     """A malformed or unserviceable request (maps to HTTP 400)."""
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ServiceError(message)
+def _resolution(resolve):
+    """Run one resolution step; a bad value becomes a :class:`ServiceError`.
+
+    A value of the wrong type (``TypeError``) reads as a malformed
+    request, the message :meth:`EvaluationRequest.from_dict` gives one.
+    """
+    try:
+        return resolve()
+    except TypeError as error:
+        raise ServiceError(f"malformed request: {error}") from None
 
 
 def _canonical_number(value):
@@ -162,85 +194,85 @@ class EvaluationRequest:
     # Validation / serialisation
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        _require(self.version == REQUEST_VERSION,
-                 f"unsupported request version {self.version!r} "
-                 f"(this service speaks version {REQUEST_VERSION})")
-        _require(self.macro in MACRO_REGISTRY,
-                 f"unknown macro {self.macro!r}; "
-                 f"available: {', '.join(sorted(MACRO_REGISTRY))}")
-        _require(self.objective in OBJECTIVES,
-                 f"unknown objective {self.objective!r}; "
-                 f"available: {', '.join(OBJECTIVES)}")
-        _require(isinstance(self.overrides, Mapping),
-                 "overrides must be an object of config-field values")
+        # Every message is formatted only when its check fails: validation
+        # runs on every request, hits included.
+        if self.version != REQUEST_VERSION:
+            raise ServiceError(f"unsupported request version {self.version!r} "
+                               f"(this service speaks version {REQUEST_VERSION})")
+        if self.macro not in MACRO_REGISTRY:
+            raise ServiceError(f"unknown macro {self.macro!r}; "
+                               f"available: {', '.join(sorted(MACRO_REGISTRY))}")
+        if self.objective not in OBJECTIVES:
+            raise ServiceError(f"unknown objective {self.objective!r}; "
+                               f"available: {', '.join(OBJECTIVES)}")
+        if not isinstance(self.overrides, Mapping):
+            raise ServiceError("overrides must be an object of config-field values")
         for key, value in self.overrides.items():
-            _require(
-                key in _CONFIG_FIELDS or key in _TECHNOLOGY_OVERRIDES,
-                f"unknown config override {key!r}",
-            )
-            _require(
-                isinstance(value, (int, float, str, bool)),
-                f"override {key!r} must be a JSON scalar, got {type(value).__name__}",
-            )
-        _require(not (self.workload and self.layer),
-                 "give either a workload name or an inline layer, not both")
-        if self.objective != "area":
-            _require(bool(self.workload) or self.layer is not None,
-                     f"objective {self.objective!r} needs a workload or inline layer")
+            if key not in _CONFIG_FIELDS and key not in _TECHNOLOGY_OVERRIDES:
+                raise ServiceError(f"unknown config override {key!r}")
+            if not isinstance(value, _SCALARS):
+                raise ServiceError(
+                    f"override {key!r} must be a JSON scalar, got {type(value).__name__}"
+                )
+        if self.workload and self.layer:
+            raise ServiceError("give either a workload name or an inline layer, not both")
+        if self.objective != "area" and not (bool(self.workload) or self.layer is not None):
+            raise ServiceError(f"objective {self.objective!r} needs a workload or inline layer")
         if self.layer is not None:
-            _require(isinstance(self.layer, Mapping), "inline layer must be an object")
-            kind = self.layer.get("kind")
-            _require(kind in ("matmul", "conv2d"),
-                     f"inline layer kind must be 'matmul' or 'conv2d', got {kind!r}")
-            required = ("name", "m", "k", "n") if kind == "matmul" else (
-                "name", "in_channels", "out_channels", "height", "width", "kernel")
-            for spec_field in required:
-                _require(spec_field in self.layer,
-                         f"inline {kind} layer is missing {spec_field!r}")
-            allowed = set(required) | set(_LAYER_COMMON) | {"kind", "batch"}
-            for spec_field in self.layer:
-                _require(spec_field in allowed,
-                         f"unknown inline layer field {spec_field!r}")
-        _require(self.num_mappings >= 1, "num_mappings must be at least 1")
+            self._check_layer_syntax()
+        if not self.num_mappings >= 1:
+            raise ServiceError("num_mappings must be at least 1")
         if self.deadline_ms is not None:
-            _require(
-                isinstance(self.deadline_ms, (int, float))
-                and not isinstance(self.deadline_ms, bool)
-                and self.deadline_ms > 0,
-                "deadline_ms must be a positive number of milliseconds",
-            )
+            if not (isinstance(self.deadline_ms, (int, float))
+                    and not isinstance(self.deadline_ms, bool)
+                    and self.deadline_ms > 0):
+                raise ServiceError("deadline_ms must be a positive number of milliseconds")
             object.__setattr__(self, "deadline_ms", float(self.deadline_ms))
         retries = self.max_retries
         if isinstance(retries, float) and retries.is_integer():
             retries = int(retries)
             object.__setattr__(self, "max_retries", retries)
-        _require(
-            isinstance(retries, int)
-            and not isinstance(retries, bool)
-            and 0 <= retries <= MAX_RETRIES_LIMIT,
-            f"max_retries must be an integer in [0, {MAX_RETRIES_LIMIT}]",
-        )
-        # Resolve the config and workload once, at submission time: bad
-        # requests surface as 400s (not dispatch-time 500s), and dispatch
-        # reuses the resolved objects instead of rebuilding them.  The
-        # canonical form and its hash are memoized on first use.
+        if not (isinstance(retries, int) and not isinstance(retries, bool)
+                and 0 <= retries <= MAX_RETRIES_LIMIT):
+            raise ServiceError(f"max_retries must be an integer in [0, {MAX_RETRIES_LIMIT}]")
+        # The canonical form, its hash, the config and the network are
+        # each computed on first use and memoized; a store hit needs only
+        # the first two.
         object.__setattr__(self, "_canonical", None)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_config", self._resolve_config())
+        object.__setattr__(self, "_config", None)
         object.__setattr__(self, "_network", None)
-        if self.objective != "area":
-            object.__setattr__(self, "_network", self._resolve_network())
-            if self.objective == "mappings":
-                _require(len(self._network) == 1,
-                         "the mappings objective needs a single-layer workload")
+
+    def _check_layer_syntax(self) -> None:
+        layer = self.layer
+        if not isinstance(layer, Mapping):
+            raise ServiceError("inline layer must be an object")
+        kind = layer.get("kind")
+        if kind not in ("matmul", "conv2d"):
+            raise ServiceError(f"inline layer kind must be 'matmul' or 'conv2d', got {kind!r}")
+        required = _LAYER_REQUIRED[kind]
+        for spec_field in required:
+            if spec_field not in layer:
+                raise ServiceError(f"inline {kind} layer is missing {spec_field!r}")
+        for spec_field, value in layer.items():
+            if spec_field not in required and spec_field not in _LAYER_OPTIONAL:
+                raise ServiceError(f"unknown inline layer field {spec_field!r}")
+            # The layer's values key its family; a nested value could
+            # never be grouped, so it is refused here, with the others.
+            if not isinstance(value, _LAYER_VALUES):
+                raise ServiceError(
+                    f"inline layer field {spec_field!r} must be a JSON scalar, "
+                    f"got {type(value).__name__}"
+                )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "EvaluationRequest":
-        """Validate and build a request from a decoded JSON object."""
-        _require(isinstance(payload, Mapping), "request body must be a JSON object")
-        known = {f.name for f in dataclass_fields(cls)}
+        """Check a decoded JSON object's syntax and build a request."""
+        if not isinstance(payload, Mapping):
+            raise ServiceError("request body must be a JSON object")
         for key in payload:
-            _require(key in known, f"unknown request field {key!r}")
+            if key not in _REQUEST_FIELDS:
+                raise ServiceError(f"unknown request field {key!r}")
         try:
             return cls(**payload)
         except TypeError as error:
@@ -331,17 +363,36 @@ class EvaluationRequest:
         return digest
 
     # ------------------------------------------------------------------
-    # Resolution onto the core model
+    # Resolution onto the core model (lazy: a store hit never resolves)
     # ------------------------------------------------------------------
+    def resolve(self) -> None:
+        """Resolve the config and (unless ``area``) the workload now.
+
+        Raises :class:`ServiceError` for a request the model cannot
+        evaluate; the scheduler calls this for every store miss before
+        queueing it.  Idempotent: both resolutions are memoized.
+        """
+        self.config()
+        if self.objective != "area":
+            self.network()
+
     def config(self) -> CiMMacroConfig:
         """The fully-resolved macro config this request evaluates."""
-        return self._config
+        config = self._config
+        if config is None:
+            config = _resolution(self._resolve_config)
+            object.__setattr__(self, "_config", config)
+        return config
 
     def network(self) -> Network:
         """The resolved workload (registry lookup, or the inline layer)."""
-        if self._network is None:
-            return self._resolve_network()
-        return self._network
+        network = self._network
+        if network is None:
+            network = _resolution(self._resolve_network)
+            if self.objective == "mappings" and len(network) != 1:
+                raise ServiceError("the mappings objective needs a single-layer workload")
+            object.__setattr__(self, "_network", network)
+        return network
 
     def _resolve_config(self) -> CiMMacroConfig:
         config = MACRO_REGISTRY[self.macro]()
@@ -352,23 +403,23 @@ class EvaluationRequest:
         overrides = {
             key: _canonical_number(value) for key, value in self.overrides.items()
         }
-        node_nm = overrides.pop("node_nm", None)
-        vdd = overrides.pop("vdd", None)
-        if node_nm is not None or vdd is not None:
-            technology = TechnologyNode(
-                float(node_nm) if node_nm is not None else config.technology.node_nm,
-                float(vdd) if vdd is not None else 0.0,
-            )
-            overrides["technology"] = technology
-        if "output_reuse_style" in overrides:
-            overrides["output_reuse_style"] = OutputReuseStyle(
-                overrides["output_reuse_style"]
-            )
-        if "dac_type" in overrides:
-            overrides["dac_type"] = DACType(overrides["dac_type"])
         try:
+            node_nm = overrides.pop("node_nm", None)
+            vdd = overrides.pop("vdd", None)
+            if node_nm is not None or vdd is not None:
+                technology = TechnologyNode(
+                    float(node_nm) if node_nm is not None else config.technology.node_nm,
+                    float(vdd) if vdd is not None else 0.0,
+                )
+                overrides["technology"] = technology
+            if "output_reuse_style" in overrides:
+                overrides["output_reuse_style"] = OutputReuseStyle(
+                    overrides["output_reuse_style"]
+                )
+            if "dac_type" in overrides:
+                overrides["dac_type"] = DACType(overrides["dac_type"])
             return config.with_updates(**overrides)
-        except (ValidationError, ValueError) as error:
+        except (ValidationError, ValueError, OverflowError) as error:
             raise ServiceError(f"invalid config overrides: {error}") from None
 
     def _resolve_network(self) -> Network:
@@ -382,15 +433,15 @@ class EvaluationRequest:
     def _inline_layer(self) -> Layer:
         spec = dict(self.layer)
         kind = spec.pop("kind")
-        common = {}
-        for spec_field in _LAYER_COMMON:
-            if spec_field in spec:
-                value = spec.pop(spec_field)
-                common[spec_field] = (
-                    ActivationStyle(value) if spec_field == "activation_style"
-                    else int(value)
-                )
         try:
+            common = {}
+            for spec_field in _LAYER_COMMON:
+                if spec_field in spec:
+                    value = spec.pop(spec_field)
+                    common[spec_field] = (
+                        ActivationStyle(value) if spec_field == "activation_style"
+                        else int(value)
+                    )
             if kind == "matmul":
                 return matmul_layer(
                     str(spec["name"]), m=int(spec["m"]), k=int(spec["k"]),
@@ -401,7 +452,7 @@ class EvaluationRequest:
                 int(spec["height"]), int(spec["width"]), int(spec["kernel"]),
                 int(spec.get("batch", 1)), **common,
             )
-        except (WorkloadError, ValueError) as error:
+        except (WorkloadError, ValueError, OverflowError) as error:
             raise ServiceError(f"invalid inline layer: {error}") from None
 
     def family_key(self) -> Tuple:
@@ -426,3 +477,7 @@ class EvaluationRequest:
             return ("mappings", workload_key, self.use_distributions,
                     self.num_mappings, self.seed)
         return ("energy", workload_key, self.use_distributions)
+
+
+#: Field names :meth:`EvaluationRequest.from_dict` accepts.
+_REQUEST_FIELDS = frozenset(f.name for f in dataclass_fields(EvaluationRequest))

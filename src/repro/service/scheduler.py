@@ -6,11 +6,20 @@ fast at:
 
 1. **Store short-circuit** — a request whose content hash is already in
    the :class:`~repro.service.store.ResultStore` resolves immediately;
-   nothing is recomputed.
+   nothing is recomputed, and nothing is resolved either.  The HTTP
+   front end does not even submit a hit: it asks :meth:`stored` for the
+   stored reply bytes by hash and submits only the misses.
 2. **In-flight coalescing** — concurrent requests with the same hash
    attach to one pending slot; N duplicates cost one evaluation and the
    result fans out to every waiter's future.
-3. **Family batching** — each tick drains the pending set, groups it by
+3. **Whole-call admission** — :meth:`submit_many` is the one submission
+   path (:meth:`submit` is its one-member call).  It resolves every miss
+   of a call first, so a request the model cannot evaluate is refused
+   alone at submission, then queues all of the call's misses under one
+   lock acquisition with one wake-up: a call's members always share a
+   dispatch tick, even when resolving them outlasts the coalescing
+   window.
+4. **Family batching** — each tick drains the pending set, groups it by
    :meth:`~repro.service.requests.EvaluationRequest.family_key` (same
    workload + objective, configs differ), and dispatches **one batched
    call per family**: ``energy`` families go through one
@@ -50,9 +59,9 @@ Two consumption styles share the machinery: :meth:`submit` +
 tick by hand), while :meth:`start` runs a background dispatcher thread
 with a small coalescing window — the HTTP front end submits from its
 event loop and replies when the returned future resolves, reaching the
-scheduler only through :meth:`submit`, :meth:`submit_many`,
-:meth:`result_lookup` and :meth:`health`, the same backend interface a
-shard fleet offers.
+scheduler only through :meth:`stored`, :meth:`submit`,
+:meth:`submit_many`, :meth:`result_lookup` and :meth:`health`, the same
+backend interface a shard fleet offers.
 :meth:`close` drains the dispatcher and fails any still-unresolved
 future with :class:`~repro.service.faults.ShutdownError`; no waiter is
 ever left blocked.
@@ -106,7 +115,9 @@ class SchedulerStats:
     already-pending duplicate, ``queue_sheds`` were rejected by the
     bounded queue, and ``dispatched_requests`` were actually evaluated —
     in ``dispatched_batches`` family-batched calls over ``ticks``
-    scheduler ticks.
+    scheduler ticks.  (Over HTTP, the hits the front end answers from
+    :meth:`EvaluationScheduler.stored` are never submitted; ``GET
+    /healthz`` adds them to ``submitted`` and ``store_hits``.)
 
     Failure-path counters: ``retries`` counts request-slots re-attempted
     after a retryable dispatch failure, ``fallbacks`` counts slots
@@ -367,101 +378,150 @@ class EvaluationScheduler:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, request: EvaluationRequest) -> "Future":
-        """Enqueue one request; the future resolves to its result dict.
+        """Enqueue one request (a one-member :meth:`submit_many`); the
+        future resolves to its result dict.
 
-        Store hits resolve immediately; duplicate hashes attach to the
-        existing slot whether it is still queued or already being
-        evaluated (coalescing); everything else joins the pending set for
-        the next tick.  Raises :class:`ShutdownError` after
-        :meth:`close`, and :class:`QueueFullError` (with a
-        ``retry_after_s`` hint) when the bounded pending queue is full —
-        store hits and coalescing duplicates are *never* shed, because
-        they cost no evaluation.
+        Raises what refused the request: :class:`ShutdownError` after
+        :meth:`close`, :class:`QueueFullError` when the bounded pending
+        queue is full, or the :class:`~repro.service.requests.ServiceError`
+        of a request that does not resolve.
         """
-        request_hash = request.content_hash()
-        future: Future = Future()
-
-        def _attach_if_known() -> bool:
-            """Under the lock: join an existing queued/in-flight slot."""
-            slot = self._pending.get(request_hash) or self._inflight.get(request_hash)
-            if slot is None:
-                return False
-            self.stats.coalesced += 1
-            slot.futures.append(future)
-            slot.merge_hints(request)
-            return True
-
-        with self._lock:
-            self.stats.submitted += 1
-            if self._closed:
-                raise ShutdownError("scheduler is shut down; request not accepted")
-            if _attach_if_known():
-                return future
-        cached = self.store.get(request_hash)
-        with self._lock:
-            if cached is not None:
-                self.stats.store_hits += 1
-                future.set_result(cached)
-                return future
-            # Re-check: the hash may have been queued (or drained into
-            # evaluation) while the store was consulted outside the lock.
-            if _attach_if_known():
-                return future
-            if self._closed:
-                raise ShutdownError("scheduler is shut down; request not accepted")
-            if self.max_pending is not None and len(self._pending) >= self.max_pending:
-                self.stats.queue_sheds += 1
-                raise QueueFullError(
-                    f"pending queue is full ({self.max_pending} unique requests); "
-                    "retry shortly",
-                    retry_after_s=max(self.coalesce_window_s * 10, 0.05),
-                )
-            slot = _Pending(
-                request=request,
-                request_hash=request_hash,
-                deadline=(
-                    time.monotonic() + request.deadline_ms / 1000.0
-                    if request.deadline_ms is not None else None
-                ),
-                max_retries=request.max_retries,
-            )
-            slot.futures.append(future)
-            self._pending[request_hash] = slot
-            self._wakeup.notify_all()
-        return future
+        [outcome] = self.submit_many([request])
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def submit_many(self, requests: Sequence[EvaluationRequest]) -> List:
-        """:meth:`submit` each request in order.
+        """Admit one call's requests; the one submission path.
 
-        Returns one item per request: its future, or the exception that
-        refused it at admission (queue full, shut down), so one refused
-        member never sinks the others.
+        Returns one item per request, in order: its future, or the
+        exception that refused it, so one refused member never sinks the
+        others.  The call runs in four steps:
+
+        1. a request whose hash is already queued or being evaluated
+           attaches to that slot (coalescing);
+        2. the rest are looked up in the store, once per distinct hash,
+           and hits resolve immediately;
+        3. every remaining miss is resolved (:meth:`EvaluationRequest.
+           resolve`): a request the model cannot evaluate fails alone
+           with its error, before anything is queued;
+        4. the misses are queued under one lock acquisition with one
+           wake-up, so a call's members always share a dispatch tick,
+           however long step 3 took.  Duplicates within the call share
+           one slot.
+
+        Store hits and coalescing duplicates are never shed, because
+        they cost no evaluation; a new slot beyond ``max_pending``
+        unique pending requests is refused with :class:`QueueFullError`
+        (carrying a ``retry_after_s`` hint), and everything is refused
+        with :class:`ShutdownError` after :meth:`close`.
         """
-        outcomes: List = []
-        for request in requests:
+        hashes = [request.content_hash() for request in requests]
+        outcomes: List = [Future() for _ in requests]
+        misses: "Dict[str, List[int]]" = {}
+        with self._lock:
+            self.stats.submitted += len(requests)
+            if self._closed:
+                return [self._shut_down()] * len(requests)
+            for index, request in enumerate(requests):
+                if not self._attach(hashes[index], request, outcomes[index]):
+                    misses.setdefault(hashes[index], []).append(index)
+        if not misses:
+            return outcomes
+
+        unresolved: "Dict[str, List[int]]" = {}
+        for request_hash, indices in misses.items():
+            cached = self.store.get(request_hash)
+            if cached is None:
+                unresolved[request_hash] = indices
+                continue
+            with self._lock:
+                self.stats.store_hits += len(indices)
+            for index in indices:
+                outcomes[index].set_result(cached)
+
+        queued: "Dict[str, List[int]]" = {}
+        for request_hash, indices in unresolved.items():
             try:
-                outcomes.append(self.submit(request))
+                requests[indices[0]].resolve()
             except Exception as error:  # noqa: BLE001 - answered per member
-                outcomes.append(error)
+                for index in indices:
+                    outcomes[index] = error
+                continue
+            queued[request_hash] = indices
+        if not queued:
+            return outcomes
+
+        with self._lock:
+            for request_hash, indices in queued.items():
+                first = requests[indices[0]]
+                # The hash may have been queued by another caller while
+                # this one looked up the store and resolved.
+                if not self._attach(request_hash, first, outcomes[indices[0]]):
+                    refusal = (
+                        self._shut_down() if self._closed
+                        else self._admit(request_hash, first, outcomes[indices[0]])
+                    )
+                    if refusal is not None:
+                        if isinstance(refusal, QueueFullError):
+                            self.stats.queue_sheds += len(indices)
+                        for index in indices:
+                            outcomes[index] = refusal
+                        continue
+                for index in indices[1:]:
+                    self._attach(request_hash, requests[index], outcomes[index])
+            self._wakeup.notify_all()
         return outcomes
 
-    def submit_stored(self, request_hash: str) -> Optional[Dict]:
-        """Answer a submission from the store by its content hash alone.
+    def _attach(self, request_hash: str, request: EvaluationRequest,
+                future: Future) -> bool:
+        """Under the lock: join an existing queued/in-flight slot."""
+        slot = self._pending.get(request_hash) or self._inflight.get(request_hash)
+        if slot is None:
+            return False
+        self.stats.coalesced += 1
+        slot.futures.append(future)
+        slot.merge_hints(request)
+        return True
 
-        A hit is counted as submitted and as a store hit, exactly as
-        :meth:`submit` counts it, without the request ever being built;
-        a miss returns None and counts nothing (the caller then builds
-        the request and submits it).  A shard worker answers its hot
-        traffic this way.
+    def _admit(self, request_hash: str, request: EvaluationRequest,
+               future: Future) -> Optional[BaseException]:
+        """Under the lock: queue a new slot, or return why it was shed."""
+        if self.max_pending is not None and len(self._pending) >= self.max_pending:
+            return QueueFullError(
+                f"pending queue is full ({self.max_pending} unique requests); "
+                "retry shortly",
+                retry_after_s=max(self.coalesce_window_s * 10, 0.05),
+            )
+        self._pending[request_hash] = _Pending(
+            request=request,
+            request_hash=request_hash,
+            futures=[future],
+            deadline=(
+                time.monotonic() + request.deadline_ms / 1000.0
+                if request.deadline_ms is not None else None
+            ),
+            max_retries=request.max_retries,
+        )
+        return None
+
+    @staticmethod
+    def _shut_down() -> ShutdownError:
+        return ShutdownError("scheduler is shut down; request not accepted")
+
+    def stored(self, request_hash: str) -> Optional[bytes]:
+        """The stored result's reply bytes by content hash, or None.
+
+        The front end answers a hit from these bytes without building a
+        future or resolving anything, and submits only the misses (the
+        store's memory tier answers here; a result only on disk is found
+        by the submission).  After :meth:`close` nothing is answered
+        here, so every request meets :meth:`submit`'s
+        :class:`ShutdownError`.
         """
         if self._closed:
-            raise ShutdownError("scheduler is shut down; request not accepted")
-        cached = self.store.get(request_hash)
-        if cached is not None:
-            with self._lock:
-                self.stats.submitted += 1
-                self.stats.store_hits += 1
-        return cached
+            return None
+        return self.store.reply(request_hash)
 
     def result_lookup(self, request_hash: str) -> "Future":
         """The stored result of a hash (None if never computed), as a
@@ -479,11 +539,17 @@ class EvaluationScheduler:
         return future.result()
 
     def evaluate_batch(self, requests: Sequence[EvaluationRequest]) -> List[Dict]:
-        """Submit a whole batch, dispatch, and return results in order."""
-        futures = [self.submit(request) for request in requests]
+        """Submit a whole batch in one call, dispatch, and return results
+        in order (raising the first member's refusal or failure)."""
+        outcomes = self.submit_many(requests)
         if self._thread is None:
             self.run_pending()
-        return [future.result() for future in futures]
+        results = []
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+            results.append(outcome.result())
+        return results
 
     # ------------------------------------------------------------------
     # Dispatch

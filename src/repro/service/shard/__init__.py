@@ -13,8 +13,9 @@ each in its own process, behind that same front end:
 * :mod:`repro.service.shard.worker` — the shard worker process (one
   full scheduler each, fleet-shared disk result store), the parent-side
   :class:`ShardClient`, and the :class:`ShardFleet` with live
-  add/drain, whose ``submit_many`` coalesces in-flight duplicates and
-  sends each shard one frame per call.
+  add/drain, a memory-only parent tier that answers the front end's
+  hits before routing, and a ``submit_many`` that coalesces in-flight
+  duplicates and sends each shard one frame per call.
 * :mod:`repro.service.shard.frontend` — the fleet-management routes
   (:class:`FleetServiceHandler`, served by the same selectors front end
   as the single process, :class:`repro.service.http.AsyncFrontend`: one

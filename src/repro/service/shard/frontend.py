@@ -6,11 +6,16 @@ keep-alive connections, one fault table), so clients cannot tell one
 process from a fleet.  What is particular to the fleet lives here:
 
 * :class:`FleetServiceHandler` — the evaluation routes over a
-  :class:`ShardFleet` backend (requests are validated locally, so a
-  malformed one answers 400 without ever crossing a channel; a batch
-  then reaches the fleet in one ``submit_many`` call, which drops
-  duplicates of in-flight hashes and sends each shard one frame), plus
-  the fleet-management routes:
+  :class:`ShardFleet` backend.  Requests are checked and hashed locally,
+  so a malformed one answers 400 without ever crossing a channel, and
+  every hash the fleet has answered before is served from the parent
+  tier (``ShardFleet.stored``: a memory-only result store in this
+  process) — hits never cross the wire.  Only misses are submitted: a
+  batch's misses reach the fleet in one ``submit_many`` call, which
+  drops duplicates of in-flight hashes and sends each shard one frame,
+  and the shard resolves each member (a config the model rejects comes
+  back as the same 400 the single process gives).  Plus the
+  fleet-management routes:
 
   * ``GET /shards`` and ``GET /shards/<id>/healthz`` — membership
     listing and per-shard passthrough.
@@ -22,7 +27,9 @@ process from a fleet.  What is particular to the fleet lives here:
 
   ``GET /healthz`` is the **fleet** health: per-shard payloads merged
   into one aggregate (summed :class:`SchedulerStats` counters including
-  retired shards, ring membership, drain state).
+  retired shards, with the front end's hits and in-flight attachments
+  folded into ``submitted``, ``store_hits`` and ``coalesced``; the
+  parent tier as ``frontend_store``; ring membership, drain state).
 
 * :class:`FleetSupervisor` — a heartbeat-timeout failure detector plus
   crash recovery.  A shard whose beats stop (SIGKILL, hang, SIGSTOP — no

@@ -14,12 +14,13 @@ Three layers live here:
 
 * :func:`_worker_main` — the child-process loop: read frames, check
   each ``evaluate`` member's canonical request against its routed hash,
-  answer store hits from the hash alone and send them back together,
-  submit misses into the scheduler and reply to each from its future's
-  callback (so many requests are in flight at once), answer ``healthz``
-  / ``result`` / ``shutdown``, and send a periodic heartbeat frame from a
-  side thread so the parent's failure detector never depends on channel
-  EOF.
+  submit a frame's members into the scheduler in one ``submit_many``
+  call (one store lookup per miss; members the worker's store already
+  holds, or that it refuses, are answered together in one frame), reply
+  to each evaluated member from its future's callback (so many requests
+  are in flight at once), answer ``healthz`` / ``result`` /
+  ``shutdown``, and send a periodic heartbeat frame from a side thread
+  so the parent's failure detector never depends on channel EOF.
 * :class:`ShardClient` — the parent-side handle: a framed socket, a
   correlation-id table of outstanding :class:`_PendingOp` records (each
   keeps the op, its fields, and its routing hash so a supervisor can
@@ -27,13 +28,19 @@ Three layers live here:
   future), and one reader thread per worker, which checks every
   result's hash echo before resolving a future.
 * :class:`ShardFleet` — N workers behind a
-  :class:`~repro.service.shard.ring.HashRing`: ``submit_many`` drops
+  :class:`~repro.service.shard.ring.HashRing`, plus the **parent tier**:
+  a memory-only :class:`~repro.service.store.ResultStore` in the parent
+  process (bounded by ``REPRO_RESULT_STORE_MAX_ENTRIES``; it reads no
+  disk and writes none, the workers own the shared disk tier) that every
+  evaluate result enters once it passed the hash-echo check.
+  ``stored`` answers hits from it before anything is routed, so the HTTP
+  front end's hits never cross the wire.  ``submit_many`` drops
   requests whose hash is already in flight onto that op's future, groups
   the rest by ring owner and sends each owner one ``evaluate`` frame
-  (``submit`` is a one-request call; with ``result_lookup`` and
-  ``health`` these are the backend interface the HTTP front end calls,
-  :mod:`repro.service.http`), ``add_shard`` / ``drain_shard`` change
-  membership live,
+  (``submit`` is a one-request call; with ``stored``, ``result_lookup``
+  and ``health`` these are the backend interface the HTTP front end
+  calls, :mod:`repro.service.http`), ``add_shard`` / ``drain_shard``
+  change membership live,
   ``health`` merges per-shard payloads plus per-shard **liveness**
   (heartbeat age, misses, supervisor state) into one fleet payload.
   A :class:`~repro.service.shard.frontend.FleetSupervisor` may attach
@@ -72,7 +79,8 @@ from repro.service.shard.protocol import (
     remote_fault,
 )
 from repro.service.shard.ring import DEFAULT_REPLICAS, HashRing, RingEmptyError
-from repro.utils.env import env_positive_float
+from repro.service.store import DEFAULT_MAX_ENTRIES, RESULT_STORE_MAX_ENTRIES_ENV, ResultStore
+from repro.utils.env import env_positive_float, env_positive_int
 
 #: Seconds the parent waits for a freshly-forked worker's ready frame.
 DEFAULT_READY_TIMEOUT_S = 60.0
@@ -150,15 +158,14 @@ def _reply_message(correlation: int, future: Future) -> Dict:
     return {"id": correlation, "ok": True, "result": result}
 
 
-def _open_member(scheduler, member: Dict):
-    """Answer one ``evaluate`` member from the store, or submit it.
+def _open_member(member: Dict) -> EvaluationRequest:
+    """Build one ``evaluate`` member's request.
 
     The member's canonical request must hash to the hash it was routed
     by; a mismatch (a payload damaged on the way) raises
-    :class:`ProtocolError` and never yields a result.  A store hit is
-    answered from the hash alone and returned as the result payload; on
-    a miss the request is built (the only validation on this side) and
-    the scheduler future is returned.
+    :class:`ProtocolError` and never yields a result.  The request is
+    built from its canonical form (syntax checks only: the scheduler
+    resolves it if it misses the store).
     """
     request_hash, canonical = member.get("hash"), member.get("request")
     hints = member.get("hints", {})
@@ -169,9 +176,6 @@ def _open_member(scheduler, member: Dict):
         raise ProtocolError(
             f"request payload does not hash to its routed hash {request_hash[:12]}"
         )
-    cached = scheduler.submit_stored(request_hash)
-    if cached is not None:
-        return cached
     payload = json.loads(canonical)
     if isinstance(payload, dict):
         payload.update(hints)
@@ -180,22 +184,22 @@ def _open_member(scheduler, member: Dict):
         raise ProtocolError(
             f"request does not re-canonicalise to its routed hash {request_hash[:12]}"
         )
-    return scheduler.submit(request)
+    return request
 
 
 def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
     """Run one shard worker until its channel closes or ``shutdown``.
 
-    The loop thread parses frames, answers what the store already holds
-    and submits the rest; replies to submitted work are sent from future
-    done-callbacks (scheduler dispatcher thread), so a slow evaluation
-    never blocks later arrivals from joining the scheduler's coalescing
-    window.  A heartbeat thread beats every ``heartbeat_interval_s``
-    independently of evaluation load.
+    The loop thread parses frames and submits each frame's members in
+    one call; what the store already holds is answered at once, and
+    replies to evaluated work are sent from future done-callbacks
+    (scheduler dispatcher thread), so a slow evaluation never blocks
+    later arrivals from joining the scheduler's coalescing window.  A
+    heartbeat thread beats every ``heartbeat_interval_s`` independently
+    of evaluation load.
     """
     from repro.core.batch import process_energy_cache
     from repro.service.scheduler import EvaluationScheduler
-    from repro.service.store import ResultStore
 
     # A terminal Ctrl-C reaches every process in the foreground group;
     # shutdown is the parent's job (it catches the signal and drains the
@@ -231,25 +235,28 @@ def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
     protocol_errors = 0
 
     def evaluate(frame_id: int, members: List[Dict]) -> None:
-        """Answer what the store holds now, in one frame; reply to each
-        miss as its evaluation completes, so a hit never waits for one."""
+        """Submit a frame's members in one call and answer what is
+        settled now (store hits, refusals) in one frame; reply to each
+        evaluated member as it completes, so a hit never waits for one."""
         nonlocal protocol_errors
         if not isinstance(members, list):
             raise ProtocolError("evaluate frame without a member list")
         answered: List[Dict] = []
+        opened: List[Tuple[int, EvaluationRequest]] = []
         for member in members:
             correlation = member.get("id") if isinstance(member, dict) else None
             if type(correlation) is not int:
                 raise ProtocolError("evaluate member without an integer id")
             try:
-                outcome = _open_member(scheduler, member)
+                opened.append((correlation, _open_member(member)))
             except Exception as error:  # noqa: BLE001 - crosses the channel
                 if isinstance(error, ProtocolError):
                     protocol_errors += 1
                 answered.append(fault_message(correlation, error))
-                continue
-            if not isinstance(outcome, Future):
-                answered.append({"id": correlation, "ok": True, "result": outcome})
+        outcomes = scheduler.submit_many([request for _, request in opened])
+        for (correlation, _), outcome in zip(opened, outcomes):
+            if isinstance(outcome, BaseException):
+                answered.append(fault_message(correlation, outcome))
             elif outcome.done():
                 answered.append(_reply_message(correlation, outcome))
             else:
@@ -445,6 +452,9 @@ class ShardClient:
         self.last_heartbeat: Optional[float] = None
         #: Chaos hook: transforms outgoing frame bytes (frame corruption).
         self.corrupt_hook: Optional[Callable[[bytes], bytes]] = None
+        #: The fleet's parent tier: evaluate results enter it once their
+        #: hash echo checked out.
+        self.store: Optional[ResultStore] = None
         self._on_closed = on_closed
         self._ready = threading.Event()
         self._reader = threading.Thread(
@@ -518,6 +528,10 @@ class ShardClient:
 
         A result for another hash than the op was routed by fails the
         op's future with :class:`ProtocolError`; it never resolves it.
+        An evaluate result that checks out enters the parent tier
+        (:attr:`store`) before its future resolves, and so before the
+        fleet stops tracking the hash as in flight: a later request for
+        it either attaches to the op or hits the tier.
         """
         correlation = reply["id"]
         if type(correlation) is not int:
@@ -542,6 +556,8 @@ class ShardClient:
                         f"{record.request_hash[:12]} with a result for {str(echo)[:12]}"
                     ))
                     return
+                if record.op == "evaluate" and self.store is not None:
+                    self.store.put(record.request_hash, result)
             record.future.set_result(result)
         except InvalidStateError:  # pragma: no cover - defensive
             pass
@@ -723,6 +739,11 @@ class ShardFleet:
         #: Requests answered by attaching to an in-flight op; folded into
         #: the merged ``scheduler.submitted`` / ``coalesced`` counters.
         self.coalesced = 0
+        #: The parent tier: memory only (the workers own the disk tier),
+        #: filled by every shard client's checked evaluate results.
+        self.store = ResultStore(
+            max_entries=env_positive_int(RESULT_STORE_MAX_ENTRIES_ENV) or DEFAULT_MAX_ENTRIES
+        )
         self._options: Dict = {
             "store_dir": str(store_dir) if store_dir else None,
             "max_pending": max_pending,
@@ -763,6 +784,7 @@ class ShardFleet:
             shard_id, parent_sock, process, on_closed=self._channel_closed
         ).start()
         client.corrupt_hook = self.frame_corrupt_hook
+        client.store = self.store
         # The ring only learns about the shard once it answered ready, so
         # no request ever routes to a worker that cannot take it yet.
         with self._lock:
@@ -935,6 +957,12 @@ class ShardFleet:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
+    def stored(self, request_hash: str) -> Optional[bytes]:
+        """The parent tier's reply bytes of a hash, or None: the front end
+        answers these hits before anything is routed, so they never
+        cross the wire."""
+        return self.store.reply(request_hash)
+
     def submit(self, request: EvaluationRequest) -> Future:
         """Route one request by content hash (a one-request
         :meth:`submit_many`); raises when the fleet refuses it."""
@@ -1109,6 +1137,7 @@ class ShardFleet:
                 supervisor.stats_payload() if supervisor is not None else None
             ),
             coalesced=self.coalesced,
+            frontend_store=self.store.stats(),
         )
 
     def close(self) -> None:
@@ -1132,6 +1161,7 @@ def merge_health(
     liveness: Optional[Dict[str, Dict]] = None,
     supervisor: Optional[Dict] = None,
     coalesced: int = 0,
+    frontend_store: Optional[Dict] = None,
 ) -> Dict:
     """Merge per-shard health payloads into the fleet-level report.
 
@@ -1140,7 +1170,11 @@ def merge_health(
     recomputed from the summed counters rather than averaged.  The
     requests the front end ``coalesced`` onto in-flight ops count as
     submitted and coalesced, as they would had a scheduler seen them, so
-    ``scheduler.submitted`` is every request the fleet took.  Crashed
+    ``scheduler.submitted`` is every request the fleet took (the HTTP
+    front end adds the hits it answered from the parent tier).  The
+    parent tier's own counters are reported as ``frontend_store``; its
+    hits also count in ``store.hits`` (it counts no misses: each one is
+    looked up, and counted, by the shard it is routed to).  Crashed
     shards whose in-flight work was re-dispatched appear as
     ``crashed_shards`` (the fleet healed; status stays ``ok``); shards
     that died with requests unrecovered appear in ``lost`` and degrade
@@ -1157,6 +1191,8 @@ def merge_health(
     )
     store = _sum_counters([p["store"] for p in sources if "store" in p])
     store.pop("disk_directory", None)
+    if frontend_store is not None:
+        store["hits"] = store.get("hits", 0) + frontend_store.get("hits", 0)
     lost = [sid for sid, p in shard_payloads.items() if p.get("status") != "ok"]
     lost += [
         str(p.get("shard", "?")) for p in retired
@@ -1182,6 +1218,8 @@ def merge_health(
         "shards": shard_payloads,
         "liveness": liveness or {},
     }
+    if frontend_store is not None:
+        payload["frontend_store"] = frontend_store
     if supervisor is not None:
         payload["supervisor"] = supervisor
     return payload

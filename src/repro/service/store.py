@@ -18,6 +18,16 @@ order, whitespace, and omitted defaults.  Two tiers:
   so results survive restarts and are shared by co-located service
   processes.
 
+A hit served over HTTP needs the result's JSON bytes, not the dict:
+:meth:`ResultStore.reply` returns ``json.dumps(result, sort_keys=True)``
+— exactly the bytes a reply carries — and memoises them on the entry's
+first hit, so every later hit costs one dict lookup and no
+serialisation.  The bytes live and die with their entry: a put, an
+eviction or a :meth:`ResultStore.forget` of the hash drops them too.
+``reply`` reads the memory tier only (the front end's event loop never
+waits on the disk for it), and a request it misses is looked up — and
+counted — once more, by the submission that follows.
+
 Environment knobs (mirroring the energy-cache tiers):
 ``REPRO_RESULT_STORE_DIR`` enables the disk tier,
 ``REPRO_RESULT_STORE_MAX_ENTRIES`` bounds the in-memory LRU, and
@@ -66,6 +76,8 @@ class ResultStore:
         self.disk_max_entries = disk_max_entries
         self.disk_max_bytes = disk_max_bytes
         self._entries: "OrderedDict[str, Dict]" = OrderedDict()
+        # Reply bytes of entries hit at least once (see reply()).
+        self._replies: Dict[str, bytes] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -130,6 +142,32 @@ class ResultStore:
                 self._insert(request_hash, loaded)
         return loaded
 
+    def reply(self, request_hash: str) -> Optional[bytes]:
+        """The stored result's reply bytes, or None.
+
+        ``json.dumps(result, sort_keys=True)`` encoded as UTF-8: the body
+        a reply of the result carries (without its trailing newline).
+        The first hit of an entry serialises it and keeps the bytes;
+        every later hit returns them.  Only the memory tier is consulted
+        and only a hit is counted: a caller that misses here goes on to
+        :meth:`get` (by submitting the request), which reads the disk
+        tier and counts the miss once.
+        """
+        with self._lock:
+            result = self._entries.get(request_hash)
+            if result is None:
+                return None
+            self.hits += 1
+            self._entries.move_to_end(request_hash)
+            blob = self._replies.get(request_hash)
+        if blob is None:
+            blob = json.dumps(result, sort_keys=True).encode("utf-8")
+            with self._lock:
+                # Keep the bytes only while they still describe the entry.
+                if self._entries.get(request_hash) is result:
+                    self._replies[request_hash] = blob
+        return blob
+
     def put(self, request_hash: str, result: Dict) -> None:
         """Insert one result and write it through the disk tier.
 
@@ -154,6 +192,7 @@ class ResultStore:
         """
         with self._lock:
             self._entries.pop(request_hash, None)
+            self._replies.pop(request_hash, None)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -182,8 +221,10 @@ class ResultStore:
     def _insert(self, request_hash: str, result: Dict) -> None:
         self._entries[request_hash] = result
         self._entries.move_to_end(request_hash)
+        self._replies.pop(request_hash, None)
         while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            evicted, _ = self._entries.popitem(last=False)
+            self._replies.pop(evicted, None)
             self.evictions += 1
 
     def _load_from_disk(self, request_hash: str) -> Optional[Dict]:

@@ -1,24 +1,32 @@
 """Tests for the repro.service subsystem.
 
-Covers the four contracts the service depends on: request-hash
+Covers the contracts the service depends on: request-hash
 canonicalisation (key order / whitespace / omitted defaults are
 identity-preserving), the content-addressed result store (memory LRU +
-disk round trip), scheduler coalescing (N duplicates -> one evaluation,
-distinct configs grouped into one family dispatch, store short-circuit),
-and an end-to-end HTTP smoke test against an ephemeral port, including
-the real ``python -m repro.service serve`` command.
+disk round trip, memoised reply bytes), scheduler coalescing (N
+duplicates -> one evaluation, distinct configs grouped into one family
+dispatch, store short-circuit, one tick per call), batch composition
+(a result is a pure function of its request, whatever it was evaluated
+with), the hit path (lazy resolution answers exactly what resolving at
+parse time answers, and hits are served as stored bytes), and an
+end-to-end HTTP smoke test against an ephemeral port, including the real
+``python -m repro.service serve`` command.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch import process_energy_cache
 from repro.service import (
@@ -27,6 +35,8 @@ from repro.service import (
     ResultStore,
     ServiceError,
 )
+from repro.service.http import error_envelope, error_status
+from repro.service.scheduler import evaluate_scalar
 from repro.service.replay import (
     evaluate_serial,
     generate_trace,
@@ -121,15 +131,30 @@ class TestRequestHashing:
         ({"workload": "mvm_32x32", "version": 99}, "unsupported request version"),
         ({"workload": "mvm_32x32", "overrides": {"bogus": 1}}, "unknown config override"),
         ({"objective": "energy"}, "needs a workload"),
-        ({"workload": "not_a_network"}, "unknown network"),
         ({"workload": "mvm_32x32", "layer": {"kind": "matmul"}}, "not both"),
         ({"layer": {"kind": "pool"}}, "kind"),
-        ({"workload": "resnet18", "objective": "mappings"}, "single-layer"),
-        ({"workload": "mvm_32x32", "overrides": {"rows": -1}}, "invalid config overrides"),
     ])
     def test_invalid_requests_are_rejected_with_messages(self, payload, message):
         with pytest.raises(ServiceError, match=message):
             EvaluationRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"workload": "not_a_network"}, "unknown network"),
+        ({"workload": "resnet18", "objective": "mappings"}, "single-layer"),
+        ({"workload": "mvm_32x32", "overrides": {"rows": -1}}, "invalid config overrides"),
+    ])
+    def test_resolution_errors_surface_at_submit(self, payload, message):
+        """Building a request checks its syntax and hashes it; the config
+        and workload resolve when a miss is submitted, which refuses a
+        request the model cannot evaluate with the same message."""
+        request = EvaluationRequest.from_dict(payload)
+        assert len(request.content_hash()) == 64
+        scheduler = EvaluationScheduler()
+        with pytest.raises(ServiceError, match=message):
+            scheduler.submit(request)
+        [refusal] = scheduler.submit_many([request])
+        assert isinstance(refusal, ServiceError) and re.search(message, str(refusal))
+        assert scheduler.stats.dispatched_requests == 0 and not scheduler._pending
 
     def test_family_keys_group_by_workload_and_objective(self):
         same_family = {
@@ -195,6 +220,32 @@ class TestResultStore:
         remaining = list(tmp_path.glob("result-*.json"))
         assert len(remaining) == 2
         assert store.disk_evictions == 3
+
+    def test_reply_bytes_are_memoised_and_dropped_with_their_entry(self):
+        store = ResultStore(max_entries=2)
+        assert store.reply("a") is None
+        result = {"value": 0.1, "name": "a"}
+        store.put("a", result)
+        blob = store.reply("a")
+        assert blob == json.dumps(result, sort_keys=True).encode()
+        assert store.reply("a") is blob  # serialised once
+        # A miss is left to the get() of the submission that follows it.
+        assert store.hits == 2 and store.misses == 0
+        store.put("a", {"value": 2})  # a new result drops the old bytes
+        assert store.reply("a") == b'{"value": 2}'
+        store.put("b", {"v": 1})
+        store.put("c", {"v": 2})  # evicts "a", and its bytes with it
+        assert store.reply("a") is None and "a" not in store._replies
+        store.reply("b")
+        store.forget("b")
+        assert "b" not in store._replies
+
+    def test_reply_reads_memory_only_and_get_reads_the_disk_tier(self, tmp_path):
+        ResultStore(directory=tmp_path).put("h1", {"value": 42})
+        warm = ResultStore(directory=tmp_path)
+        assert warm.reply("h1") is None
+        assert warm.get("h1") == {"value": 42} and warm.disk_hits == 1
+        assert warm.reply("h1") == b'{"value": 42}'
 
     def test_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_STORE_DIR", str(tmp_path / "results"))
@@ -314,6 +365,52 @@ class TestSchedulerCoalescing:
         assert result["summary"]["total_energy_j"] > 0
         assert "could not store result" in capsys.readouterr().err
 
+    def test_store_hits_are_never_resolved(self, monkeypatch):
+        scheduler = EvaluationScheduler()
+        first = scheduler.evaluate(_request(overrides={"adc_resolution": 5}))
+
+        def refuse(self):
+            raise AssertionError("a store hit was resolved")
+
+        monkeypatch.setattr(EvaluationRequest, "_resolve_config", refuse)
+        monkeypatch.setattr(EvaluationRequest, "_resolve_network", refuse)
+        again = _request(overrides={"adc_resolution": 5})
+        assert scheduler.submit(again).result() is first
+        assert scheduler.stored(again.content_hash()) == json.dumps(
+            first, sort_keys=True).encode()
+
+    def test_a_call_runs_in_one_tick_however_long_resolution_takes(self, monkeypatch):
+        """Whole-call admission: every member of one submit_many call is
+        resolved before any is queued, and all are queued at once, so the
+        call shares one dispatch tick even when resolving it outlasts the
+        coalescing window many times over."""
+        resolve_network = EvaluationRequest._resolve_network
+
+        def slow_resolve_network(self):
+            time.sleep(0.0003)
+            return resolve_network(self)
+
+        monkeypatch.setattr(EvaluationRequest, "_resolve_network", slow_resolve_network)
+        requests = [
+            _request(workload="mvm_24x40", overrides={
+                "adc_resolution": 3 + index % 6, "columns_per_adc": 2 ** (1 + index // 6),
+            })
+            for index in range(32)
+        ]
+        assert len({request.content_hash() for request in requests}) == 32
+        scheduler = EvaluationScheduler(coalesce_window_s=0.001).start()
+        try:
+            results = [future.result(timeout=120)
+                       for future in scheduler.submit_many(requests)]
+        finally:
+            scheduler.close()
+        assert scheduler.stats.ticks == 1
+        assert scheduler.stats.dispatched_requests == 32
+        reference = EvaluationScheduler().evaluate_batch(requests)
+        assert [json.dumps(r, sort_keys=True) for r in results] == [
+            json.dumps(r, sort_keys=True) for r in reference
+        ]
+
     def test_background_dispatcher_serves_submissions(self):
         scheduler = EvaluationScheduler(coalesce_window_s=0.001).start()
         try:
@@ -376,6 +473,72 @@ class TestSchedulerCoalescing:
             assert result["area_breakdown_um2"][component] == pytest.approx(
                 reference, rel=1e-9
             )
+
+
+# ----------------------------------------------------------------------
+# Batch composition: a result is a pure function of its request
+# ----------------------------------------------------------------------
+#: Config-override axes of the generated design points.
+_AXES = {
+    "adc_resolution": (3, 4, 5, 6, 7, 8),
+    "vdd": (0.8, 0.9, 1.0, 1.1, 1.2),
+    "columns_per_adc": (2, 4, 8, 16, 32),
+    "input_bits": (4, 5, 6, 7, 8),
+    "weight_bits": (4, 5, 6, 7, 8),
+    "rows": (64, 128, 256, 512),
+}
+
+
+@st.composite
+def _design_points(draw):
+    """One valid ``energy`` or ``area`` request."""
+    overrides = draw(st.fixed_dictionaries(
+        {}, optional={axis: st.sampled_from(values) for axis, values in _AXES.items()}
+    ))
+    request = EvaluationRequest(
+        macro=draw(st.sampled_from(("base_macro", "macro_a", "macro_b", "macro_d"))),
+        objective=draw(st.sampled_from(("energy", "area"))),
+        workload=draw(st.sampled_from(("mvm_32x32", "mvm_16x48"))),
+        overrides=overrides,
+    )
+    try:
+        request.resolve()
+    except ServiceError:
+        assume(False)
+    return request
+
+
+def _assert_close(value, reference, path="result"):
+    """Every number within 1e-9 (relative) of the reference's."""
+    if isinstance(reference, dict):
+        assert set(value) == set(reference), path
+        for key in reference:
+            _assert_close(value[key], reference[key], f"{path}.{key}")
+    elif isinstance(reference, float):
+        assert value == pytest.approx(reference, rel=1e-9, abs=0.0), path
+    else:
+        assert value == reference, path
+
+
+class TestBatchComposition:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(family=st.lists(_design_points(), min_size=2, max_size=6), data=st.data())
+    def test_a_member_evaluates_the_same_in_any_family(self, family, data):
+        """Each member's payload is bitwise the same evaluated in its
+        family, in a random sub-family or alone (fresh schedulers, so no
+        store answers), and within 1e-9 of the scalar oracle."""
+        in_family = EvaluationScheduler().evaluate_batch(family)
+        chosen = data.draw(st.lists(
+            st.integers(0, len(family) - 1), min_size=1, max_size=len(family), unique=True,
+        ))
+        in_part = EvaluationScheduler().evaluate_batch([family[i] for i in chosen])
+        for index, result in zip(chosen, in_part):
+            assert json.dumps(result, sort_keys=True) == json.dumps(
+                in_family[index], sort_keys=True)
+        for request, result in zip(family, in_family):
+            alone = EvaluationScheduler().evaluate(request)
+            assert json.dumps(alone, sort_keys=True) == json.dumps(result, sort_keys=True)
+            _assert_close(result, evaluate_scalar(request))
 
 
 # ----------------------------------------------------------------------
@@ -502,6 +665,173 @@ class TestHTTPService:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=120)
         assert excinfo.value.code == 400
+
+
+def _post_raw(port, path, body):
+    """POST ``body`` (JSON-encoded unless bytes); (status, reply bytes)."""
+    data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}", data=data,
+        headers={"Content-Type": "application/json"}, method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=120) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, error.read()
+
+
+def _reply_bytes(payload):
+    """What the front end sends for a payload: sorted keys, one newline."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+class TestHitReplies:
+    """Hits are answered from the store's reply bytes, never submitted."""
+
+    @pytest.fixture()
+    def served(self):
+        from repro.service.http import serve
+
+        scheduler = EvaluationScheduler(coalesce_window_s=0.001)
+        frontend = serve("127.0.0.1", 0, scheduler=scheduler).start()
+        yield frontend, scheduler
+        scheduler.close()
+        frontend.shutdown()
+
+    def test_hit_replies_are_byte_identical(self, served):
+        frontend, scheduler = served
+        hit = {"workload": "mvm_32x32", "overrides": {"adc_resolution": 7}}
+        miss = {"workload": "mvm_32x32", "overrides": {"adc_resolution": 3}}
+        invalid = {"workload": "mvm_32x32", "overrides": {"rows": -1}}
+        status, first = _post_raw(frontend.port, "/evaluate", hit)
+        assert status == 200
+        result = json.loads(first)
+        assert first == _reply_bytes(result)
+        assert _post_raw(frontend.port, "/evaluate", hit) == (200, first)
+        request_hash = result["request_hash"]
+        assert _post_raw(frontend.port, "/evaluate", {
+            "overrides": {"adc_resolution": 7.0}, "workload": "mvm_32x32",
+        }) == (200, first)  # the same hash, spelled differently
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{frontend.port}/result/{request_hash}", timeout=120
+        ) as response:
+            assert response.read() == first
+
+        submits = []
+        submit_many = scheduler.submit_many
+        scheduler.submit_many = lambda requests: submits.append(
+            [r.content_hash() for r in requests]) or submit_many(requests)
+        status, body = _post_raw(frontend.port, "/evaluate/batch",
+                                 {"requests": [hit, miss, invalid, "nope", hit]})
+        assert status == 200
+        results = json.loads(body)["results"]
+        missed = EvaluationRequest.from_dict(miss)
+        assert submits == [[missed.content_hash(),
+                            EvaluationRequest.from_dict(invalid).content_hash()]]
+        assert results[1] == evaluate_scalar(missed)
+        assert results[2]["error"]["message"].startswith("invalid config overrides")
+        assert results[3]["error"]["message"] == "request body must be a JSON object"
+        assert body == _reply_bytes(
+            {"results": [result, results[1], results[2], results[3], result]})
+
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{frontend.port}/healthz", timeout=120
+        ) as response:
+            health = json.loads(response.read())
+        # 4 evaluate hits (the GET is a lookup, not a submission), each
+        # counted once as submitted and once as a store hit.
+        assert health["frontend"]["store_hits"] == 4
+        assert health["scheduler"]["store_hits"] == 4
+        assert health["scheduler"]["submitted"] == 4 + 3  # + first, miss, invalid
+
+
+# ----------------------------------------------------------------------
+# The hit path answers what resolving at parse time answers
+# ----------------------------------------------------------------------
+_VALID_OVERRIDES = {"adc_resolution": (4, 6), "rows": (48, 64)}
+_BAD_OVERRIDES = (
+    {"rows": -1}, {"rows": 0}, {"rows": "abc"}, {"vdd": -1}, {"vdd": "x"},
+    {"columns_per_adc": 0}, {"input_bits": 0}, {"node_nm": "abc"}, {"node_nm": 0},
+    {"output_reuse_style": "nope"}, {"bogus": 1}, {"rows": [64]},
+)
+_LAYER = {"kind": "matmul", "name": "probe", "m": 8, "k": 32, "n": 4}
+_BAD_LAYERS = (
+    dict(_LAYER, m="abc"), dict(_LAYER, m=-4), dict(_LAYER, stride=2),
+    dict(_LAYER, name=["probe"]), dict(_LAYER, activation_style="nope"),
+    {"kind": "conv2d", "name": "probe"}, {"kind": "pool", "name": "probe"}, ["probe"],
+)
+
+
+@st.composite
+def _bodies(draw):
+    """A request body: valid about half the time, else with one flaw."""
+    flaw = draw(st.sampled_from(
+        (None,) * 5 + ("override", "workload", "layer", "field", "body")))
+    if flaw == "body":
+        return draw(st.sampled_from(("not an object", [1, 2], None)))
+    objective = draw(st.sampled_from(("energy", "energy", "area", "mappings")))
+    body = {"overrides": draw(st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(values) for key, values in _VALID_OVERRIDES.items()
+    }))}
+    if objective != "energy":
+        body["objective"] = objective
+    if objective == "mappings":
+        body.update(num_mappings=20, seed=draw(st.integers(0, 1)))
+    if flaw == "override":
+        body["overrides"].update(draw(st.sampled_from(_BAD_OVERRIDES)))
+    if flaw == "layer":
+        body["layer"] = draw(st.sampled_from(_BAD_LAYERS))
+    elif flaw == "workload":
+        workloads = ("not_a_network", "mvm_0x8") + (
+            ("resnet18",) if objective == "mappings" else ())
+        body["workload"] = draw(st.sampled_from(workloads))
+    elif objective != "area":
+        body.update(draw(st.sampled_from((
+            {"workload": "mvm_32x32"}, {"workload": "mvm_16x48"}, {"layer": _LAYER},
+        ))))
+    if flaw == "field":
+        body[draw(st.sampled_from(("version", "bogus_field")))] = 2
+    return body
+
+
+def _eager(body, scheduler):
+    """What resolving at parse time answers: (status, payload)."""
+    try:
+        request = EvaluationRequest.from_dict(body)
+        request.resolve()
+    except Exception as error:  # noqa: BLE001 - the reference answer
+        return error_status(error), error_envelope(error)
+    return 200, scheduler.evaluate(request)
+
+
+class TestHitPath:
+    @pytest.fixture(scope="class")
+    def served(self):
+        from repro.service.http import serve
+
+        scheduler = EvaluationScheduler(coalesce_window_s=0.001)
+        frontend = serve("127.0.0.1", 0, scheduler=scheduler).start()
+        yield frontend, EvaluationScheduler()
+        scheduler.close()
+        frontend.shutdown()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(bodies=st.lists(_bodies(), min_size=1, max_size=5))
+    def test_lazy_resolution_serves_what_eager_resolution_would(self, served, bodies):
+        """For valid and invalid bodies alike, ``/evaluate`` and the
+        members of ``/evaluate/batch`` get the status, error envelope and
+        reply bytes that resolving each request at parse time gives:
+        a 400 with the same message, or ``json.dumps(result,
+        sort_keys=True)``.  The server's store warms across examples, so
+        repeated bodies take the hit path."""
+        frontend, reference = served
+        expected = [_eager(body, reference) for body in bodies]
+        status, single = _post_raw(frontend.port, "/evaluate", bodies[0])
+        assert (status, single) == (expected[0][0], _reply_bytes(expected[0][1]))
+        status, batch = _post_raw(frontend.port, "/evaluate/batch", {"requests": bodies})
+        assert status == 200
+        assert batch == _reply_bytes({"results": [payload for _, payload in expected]})
 
 
 def _subprocess_env():

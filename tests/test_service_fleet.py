@@ -5,21 +5,28 @@ dropped-reply accounting, the timeout-based failure detector (detection
 bounded by the heartbeat timeout, **not** channel EOF — proven with a
 SIGSTOPped worker whose socket stays open), zero-loss crash recovery
 with in-flight re-dispatch and respawn, quorum loss ->
-:class:`FleetDegradedError`, drain-vs-crash races, and the per-shard
-liveness surfaced through the fleet health payload.
+:class:`FleetDegradedError`, drain-vs-crash races, the per-shard
+liveness surfaced through the fleet health payload, and the hit path:
+hits are answered by the parent tier and never cross the wire, while
+the shard that resolves a miss refuses a bad config as the single
+process does.
 """
 
+import json
 import os
 import signal
 import socket
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.service.faults import FaultError, FleetDegradedError
-from repro.service.requests import EvaluationRequest
+from repro.service.http import error_envelope, error_status
+from repro.service.requests import EvaluationRequest, ServiceError
 from repro.service.scheduler import evaluate_scalar
 from repro.service.shard import (
     HEARTBEAT_ID,
@@ -29,6 +36,7 @@ from repro.service.shard import (
     ShardFleet,
     encode_frame,
     heartbeat_message,
+    serve_sharded,
 )
 from repro.service.shard import protocol
 from repro.service.shard.worker import _ReplySender
@@ -500,6 +508,91 @@ class TestBatchedSubmission:
             assert expected == [evaluate_scalar(request) for request in requests]
         finally:
             fleet.close()
+
+
+# ----------------------------------------------------------------------
+# The hit path: the parent tier answers hits, shards resolve misses
+# ----------------------------------------------------------------------
+def _http(port, method, path, payload=None):
+    """One HTTP call; (status, reply bytes)."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}", method=method,
+        data=None if payload is None else json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=180) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, error.read()
+
+
+class TestFleetHits:
+    def test_hits_are_answered_by_the_parent_tier_and_never_cross_the_wire(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_RESULT_STORE_MAX_ENTRIES", "8")
+        fleet = ShardFleet(shards=2, store_dir=str(tmp_path / "store"),
+                           heartbeat_interval_s=HEARTBEAT_INTERVAL_S)
+        frontend = serve_sharded(fleet=fleet, port=0, supervise=False).start()
+        try:
+            evicted = [_request(i, "area") for i in range(4)]
+            hot = [
+                EvaluationRequest(macro="macro_b", workload="mvm_64x64",
+                                  overrides={"adc_resolution": 4 + i % 4,
+                                             "dac_resolution": 1 + i // 4})
+                for i in range(8)
+            ]
+            for warm in (evicted, hot):  # hot last: the tier keeps those 8
+                status, _ = _http(frontend.port, "POST", "/evaluate/batch",
+                                  {"requests": [r.to_dict() for r in warm]})
+                assert status == 200
+            assert _wait(lambda: not fleet._inflight)
+            assert len(fleet.store) == 8 and fleet.store.evictions == 4
+            frames = _count_op_frames(fleet)
+            _, before = _http(frontend.port, "GET", "/healthz")
+            batch = [hot[(5 * i) % 8] for i in range(32)]
+            status, body = _http(frontend.port, "POST", "/evaluate/batch",
+                                 {"requests": [r.to_dict() for r in batch]})
+            assert status == 200
+            assert frames == {}  # not one evaluate frame crossed
+            oracle = [evaluate_scalar(request) for request in batch]
+            assert json.loads(body)["results"] == oracle
+            assert body == (json.dumps({"results": oracle}, sort_keys=True)
+                            + "\n").encode("utf-8")
+            _, after = _http(frontend.port, "GET", "/healthz")
+            before, after = json.loads(before), json.loads(after)
+            for counter in ("submitted", "store_hits"):
+                assert after["scheduler"][counter] - before["scheduler"][counter] == 32
+            assert after["frontend"]["store_hits"] == 32
+            assert after["frontend_store"]["entries"] <= 8
+            assert len(fleet.store) <= 8
+        finally:
+            fleet.close()
+            frontend.shutdown()
+
+    def test_a_bad_config_is_refused_by_its_shard_as_by_one_process(self, fleet):
+        """Resolution happens where the miss is evaluated: on a fleet, in
+        the shard worker, which answers the single process's 400."""
+        frontend = serve_sharded(fleet=fleet, port=0, supervise=False).start()
+        try:
+            body = {"macro": "macro_b", "workload": "mvm_64x64",
+                    "overrides": {"rows": -1}}
+            with pytest.raises(ServiceError) as refused:
+                EvaluationRequest.from_dict(body).resolve()
+            expected = (error_status(refused.value), error_envelope(refused.value))
+            assert expected[0] == 400
+            frames = _count_op_frames(fleet)
+            status, reply = _http(frontend.port, "POST", "/evaluate", body)
+            assert (status, json.loads(reply)) == expected
+            assert len(frames) == 1  # the shard resolved it, not the parent
+            status, reply = _http(frontend.port, "POST", "/evaluate/batch",
+                                  {"requests": [body, _request(1).to_dict()]})
+            assert status == 200
+            results = json.loads(reply)["results"]
+            assert results == [expected[1], evaluate_scalar(_request(1))]
+        finally:
+            frontend.shutdown()
 
 
 # ----------------------------------------------------------------------

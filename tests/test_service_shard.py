@@ -428,7 +428,13 @@ class TestAsyncFrontend:
         assert second["error"]["type"] == "ServiceError"
 
     def test_batch_crosses_as_one_frame_per_owning_shard(self, frontend, fleet):
-        unique = [_request(index) for index in range(4)]
+        # Hashes this module's fleet has never answered: a stored one
+        # stops at the front end (test_service_fleet.py::TestFleetHits).
+        unique = [
+            EvaluationRequest(macro="macro_b", workload="mvm_64x64",
+                              overrides={"adc_resolution": 4 + index, "dac_resolution": 3})
+            for index in range(4)
+        ]
         assert _until(lambda: not fleet._inflight)  # earlier tests' ops settled
         frames = {}
         for shard_id, client in fleet.serving_clients():
