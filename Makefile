@@ -64,11 +64,11 @@ bench-service:
 	python tools/bench_record.py BENCH_service.json
 
 # Service chaos replay: the same 1k-request trace under the standard
-# fault-injection preset (transient dispatch failures, corrupted store
-# entries, slow dispatches); asserts 100% correct results, no hung
-# futures, <= 1.5x retry amplification, and a chaos wall time no shorter
-# than the cold fault-free replay's.  Writes BENCH_service_chaos.json and
-# appends the git-SHA-stamped snapshot to BENCH_history.jsonl.
+# fault-injection preset (corrupted store entries, quarantined and
+# recomputed); asserts 100% correct results, no hung futures, <= 1.5x
+# work amplification, and a chaos wall time no shorter than the cold
+# fault-free replay's.  Writes BENCH_service_chaos.json and appends the
+# git-SHA-stamped snapshot to BENCH_history.jsonl.
 bench-service-chaos:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -q --benchmark-only \
 		benchmarks/test_service_chaos.py

@@ -1,12 +1,12 @@
 """Benchmark: the 1k-request service trace replayed under fault injection.
 
-The acceptance gate of the fault-tolerance layer (`repro.service.faults`
+The acceptance gate of the fault-handling layer (`repro.service.faults`
 / `repro.service.chaos`): the same 1000-request trace the throughput
-benchmark replays must complete under the standard chaos preset —
-injected transient dispatch failures, corrupted store entries, slow
-dispatches — with **100% eventually-correct results** (request for
-request, equal to the fault-free replay), no hung futures, and bounded
-retry amplification (evaluated slot-attempts <= 1.5x the requests
+benchmark replays must complete under the standard chaos preset, whose
+in-process fault site is corrupted store entries, with **100% correct
+results** (request for request, equal to the fault-free replay), no
+hung futures, and bounded work amplification (evaluated slot-attempts
+— dispatches, isolations and oracle rescues — <= 1.5x the requests
 actually dispatched).  At full size the faults must also cost time:
 the chaos rounds may not beat the fault-free reference.  The full run
 writes a ``BENCH_service_chaos.json`` resilience record at the repo
@@ -33,24 +33,16 @@ DEFAULT_REQUESTS = 1000
 NUM_REQUESTS = int(os.environ.get("SERVICE_CHAOS_REQUESTS", str(DEFAULT_REQUESTS)))
 FULL_SIZE = NUM_REQUESTS >= DEFAULT_REQUESTS
 
-#: Retry budget given to every trace request (hash-invariant, so the
-#: chaos replay still coalesces and store-hits exactly like the clean
-#: one).  Generous enough that exhausting it mid-preset — and drifting
-#: onto the approximate scalar oracle — is a ~1e-5 event per dispatch.
-TRACE_MAX_RETRIES = 5
-
-#: Smaller arrival windows than the throughput benchmark: more dispatch
-#: ticks means more per-dispatch injection rolls over the same trace.
+#: Smaller arrival windows than the throughput benchmark: more windows
+#: means more duplicates arrive after their twin was stored (and maybe
+#: corrupted), instead of coalescing onto it in flight.
 WINDOW = 32
 
 
 def test_service_chaos_replay(benchmark, tmp_path):
-    trace = [
-        dict(entry, max_retries=TRACE_MAX_RETRIES)
-        for entry in generate_trace(
-            num_requests=NUM_REQUESTS, duplicate_fraction=0.6, families=3, seed=0
-        )
-    ]
+    trace = generate_trace(
+        num_requests=NUM_REQUESTS, duplicate_fraction=0.6, families=3, seed=0
+    )
     profile = trace_profile(trace)
 
     # Fault-free reference replay (same window, cold cache).
@@ -81,10 +73,10 @@ def test_service_chaos_replay(benchmark, tmp_path):
     stats = scheduler.stats
     injected = chaos.stats()
 
-    # Gate 1: 100% eventually-correct results.  Every retry and every
-    # isolated re-dispatch goes through the same batched machinery, so
-    # unless a request drifted onto the scalar oracle the payloads are
-    # *equal*, not merely close.
+    # Gate 1: 100% correct results.  Every recompute and every isolated
+    # re-dispatch goes through the same batched machinery, so unless a
+    # request drifted onto the scalar oracle the payloads are *equal*,
+    # not merely close.
     assert len(chaos_results) == len(clean_results) == len(trace)
     worst = 0.0
     exact = 0
@@ -102,11 +94,10 @@ def test_service_chaos_replay(benchmark, tmp_path):
     assert not scheduler._pending and not scheduler._inflight
     assert stats.errors == 0
 
-    # Gate 3: bounded retry amplification — fault handling may not blow
+    # Gate 3: bounded work amplification — fault handling may not blow
     # up the work done per request actually dispatched.
     amplification = (
-        stats.dispatched_requests + stats.retries + stats.fallbacks
-        + stats.scalar_fallbacks
+        stats.dispatched_requests + stats.fallbacks + stats.scalar_fallbacks
     ) / max(stats.dispatched_requests, 1)
     assert amplification <= 1.5
 
@@ -115,13 +106,12 @@ def test_service_chaos_replay(benchmark, tmp_path):
     total_injected = sum(injected.values())
     assert total_injected > 0
     if FULL_SIZE:
-        assert injected["injected_transients"] > 0
         assert injected["injected_corruptions"] > 0
         assert store.corrupt_entries > 0
 
-    # Gate 5 (full size): both sides are cold, so the injected sleeps,
-    # retries and recomputes may only cost time.  A chaos round beating
-    # the clean reference means one side's timed window is wrong.
+    # Gate 5 (full size): both sides are cold, so the quarantines and
+    # recomputes the corruptions cause may only cost time.  A chaos round
+    # beating the clean reference means one side's timed window is wrong.
     slowdown = chaos_s / clean_s
     if FULL_SIZE:
         assert slowdown >= 1.0
@@ -138,9 +128,8 @@ def test_service_chaos_replay(benchmark, tmp_path):
         "eventually_correct_fraction": 1.0,
         "exact_result_fraction": exact / len(trace),
         "max_rel_energy_error": worst,
-        "retry_amplification": amplification,
+        "work_amplification": amplification,
         "injections": injected,
-        "retries": stats.retries,
         "fallbacks": stats.fallbacks,
         "scalar_fallbacks": stats.scalar_fallbacks,
         "deadline_expired": stats.deadline_expired,
@@ -156,10 +145,8 @@ def test_service_chaos_replay(benchmark, tmp_path):
         [
             f"trace     {len(trace):5d} requests "
             f"({profile['unique_requests']} unique, {profile['families']} families)",
-            f"injected  {injected['injected_transients']} transients, "
-            f"{injected['injected_corruptions']} corruptions, "
-            f"{injected['injected_slow_dispatches']} slow dispatches",
-            f"healed    {stats.retries} retries, {stats.fallbacks} isolations, "
+            f"injected  {injected['injected_corruptions']} store-entry corruptions",
+            f"healed    {stats.fallbacks} isolations, "
             f"{stats.scalar_fallbacks} oracle rescues, "
             f"{store.corrupt_entries} quarantined entries",
             f"chaos     {len(trace) / chaos_s:10.1f} requests/s "

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from conftest import emit
 
-from repro.service.chaos import FleetChaosConfig
+from repro.service.chaos import ChaosConfig
 from repro.service.replay import generate_trace, replay_sharded, trace_profile
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -61,7 +61,7 @@ def test_service_fleet_chaos_replay(benchmark, tmp_path):
         # Fresh per round: the kill schedule, the injector RNG stream,
         # and the shared disk tier (so recovery is never served by a
         # previous round's results).
-        chaos = FleetChaosConfig.preset(seed=0, kills=KILLS)
+        chaos = ChaosConfig.preset(seed=0, kills=KILLS)
         directory = tmp_path / f"store-{state['round']}"
         state["round"] += 1
         results, elapsed, health, _ = replay_sharded(

@@ -207,6 +207,11 @@ class CiMMacroConfig:
                 raise ValidationError(f"{label} must be in [1, 32], got {bits}")
         if not 1 <= self.dac_resolution <= self.input_bits:
             raise ValidationError("dac_resolution must be in [1, input_bits]")
+        if not 1 <= self.adc_resolution <= ADCModel.MAX_RESOLUTION_BITS:
+            raise ValidationError(
+                f"adc_resolution must be in [1, {ADCModel.MAX_RESOLUTION_BITS}], "
+                f"got {self.adc_resolution}"
+            )
         if not 1 <= self.bits_per_cell <= 8:
             raise ValidationError("bits_per_cell must be in [1, 8]")
         if self.columns_per_adc < 1:

@@ -61,6 +61,10 @@ class ADCModel(ComponentEnergyModel):
 
     component_class = "adc"
 
+    #: Highest resolution the regression is calibrated for; macro configs
+    #: check their ``adc_resolution`` against it too.
+    MAX_RESOLUTION_BITS = 14
+
     #: Config fields the conversion-energy formula reads (term-key protocol).
     TERM_CONFIG_FIELDS = (
         "adc_resolution",
@@ -78,9 +82,10 @@ class ADCModel(ComponentEnergyModel):
     _AREA_BASE_UM2 = 400.0        # fixed overhead per ADC instance
 
     def __post_init__(self) -> None:
-        if not 1 <= self.resolution_bits <= 14:
+        if not 1 <= self.resolution_bits <= self.MAX_RESOLUTION_BITS:
             raise ValidationError(
-                f"ADC resolution must be in [1, 14] bits, got {self.resolution_bits}"
+                f"ADC resolution must be in [1, {self.MAX_RESOLUTION_BITS}] bits, "
+                f"got {self.resolution_bits}"
             )
         if self.throughput_msps <= 0:
             raise ValidationError("ADC throughput must be positive")

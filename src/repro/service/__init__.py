@@ -21,10 +21,11 @@ Layers (one module each):
   ``GET /result/<hash>``, ``GET /healthz``): a single-threaded selectors
   loop that keeps connections alive, over a backend that is either the
   in-process scheduler or the shard fleet.
-* :mod:`repro.service.faults` — the failure taxonomy
-  (retryable vs. permanent), retry backoff, and the circuit breaker.
+* :mod:`repro.service.faults` — the service's own failures (missed
+  deadline, shutdown, shed queue, fleet below quorum).
 * :mod:`repro.service.chaos` — deterministic, seedable fault injection
-  (worker kills, corrupt store entries, transient dispatch failures).
+  at the real fault sites (corrupt store entries, shard kills, corrupt
+  frames).
 * :mod:`repro.service.replay` — trace synthesis (uniform / diurnal /
   bursty / hotspot arrival shapes) and replay drivers (including
   ``--chaos`` and ``--shards`` replays).
@@ -49,15 +50,10 @@ Quickstart::
 
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.faults import (
-    CircuitBreaker,
-    CircuitOpenError,
     DeadlineExceeded,
     FaultError,
-    PermanentError,
     QueueFullError,
-    RetryableError,
     ShutdownError,
-    is_retryable,
 )
 from repro.service.requests import (
     MACRO_REGISTRY,
@@ -76,16 +72,11 @@ __all__ = [
     "ResultStore",
     "ServiceError",
     "FaultError",
-    "RetryableError",
-    "PermanentError",
     "DeadlineExceeded",
     "ShutdownError",
     "QueueFullError",
-    "CircuitOpenError",
-    "CircuitBreaker",
     "ChaosConfig",
     "ChaosInjector",
-    "is_retryable",
     "MACRO_REGISTRY",
     "OBJECTIVES",
     "REQUEST_VERSION",

@@ -113,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="requests per arrival window (coalesced mode)")
     replay.add_argument("--chaos", action="store_true",
                         help="replay under deterministic fault injection "
-                             "(corrupt store entries, transient dispatch "
-                             "failures, slow dispatches)")
+                             "(corrupt store entries; with --shards, shard "
+                             "kills and corrupt frames)")
     replay.add_argument("--chaos-seed", type=int, default=0,
                         help="seed of the chaos injector's RNG")
     replay.add_argument("--chaos-kills", type=int, default=1,
@@ -260,9 +260,9 @@ def _cmd_replay(args) -> int:
     elif args.shards > 0:
         fleet_chaos = None
         if args.chaos:
-            from repro.service.chaos import FleetChaosConfig
+            from repro.service.chaos import ChaosConfig
 
-            fleet_chaos = FleetChaosConfig.preset(
+            fleet_chaos = ChaosConfig.preset(
                 seed=args.chaos_seed, kills=args.chaos_kills
             )
         _, elapsed, health, latencies = replay_sharded(

@@ -50,11 +50,11 @@ Routes:
 Every error response is a JSON envelope
 ``{"error": {"type": ..., "message": ...}}`` whose status comes from one
 table keyed by the failure's type name (:data:`FAULT_STATUS`):
-validation problems 400, a shed queue 429, shutdown, open circuit
-breakers and a fleet without live shards 503, a missed deadline 504,
-anything else 500.  A fault with a backpressure hint carries it as
-``retry_after_s`` and as a ``Retry-After`` header.  Unknown routes
-answer 404, other methods 405, bodies over :data:`MAX_BODY_BYTES` 413.
+validation problems 400, a shed queue 429, shutdown and a fleet
+without live shards 503, a missed deadline 504, anything else 500.  A
+fault with a backpressure hint carries it as ``retry_after_s`` and as a
+``Retry-After`` header.  Unknown routes answer 404, other methods 405,
+bodies over :data:`MAX_BODY_BYTES` 413.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ MAX_HEADER_BYTES = 64 << 10
 FAULT_STATUS = {
     "ServiceError": 400,
     "QueueFullError": 429,
-    "CircuitOpenError": 503,
     "FleetDegradedError": 503,
     "RingEmptyError": 503,
     "ShutdownError": 503,

@@ -224,8 +224,8 @@ def replay_coalesced(
     each window's survivors dispatch in one family-batched tick.
     ``chaos`` (a :class:`~repro.service.chaos.ChaosConfig` or
     :class:`~repro.service.chaos.ChaosInjector`) replays the trace under
-    deterministic fault injection — the results must still be correct,
-    which is exactly what the chaos benchmark asserts.
+    deterministic store-entry corruption — the results must still be
+    correct, which is exactly what the chaos benchmark asserts.
     Returns ``(results in trace order, elapsed seconds, scheduler,
     per-request latencies in seconds)``; each latency runs from the
     request's arrival (its window starting to submit) to its future
@@ -279,14 +279,13 @@ def replay_sharded(
     ``supervise`` attaches a :class:`FleetSupervisor` to a replay-owned
     fleet: heartbeat failure detection, crash recovery, in-flight
     re-dispatch, and respawns — a SIGKILLed shard costs latency, never
-    results.  ``fleet_chaos`` (a
-    :class:`~repro.service.chaos.FleetChaosConfig` or ready-made
-    :class:`~repro.service.chaos.FleetChaosInjector`) arms fleet-fabric
-    faults during the replay: scheduled/probabilistic shard SIGKILLs,
-    frame corruption, worker heartbeat delay.  The final health payload
-    then carries a ``fleet_chaos`` stats block.
+    results.  ``fleet_chaos`` (a :class:`~repro.service.chaos.ChaosConfig`
+    or ready-made :class:`~repro.service.chaos.ChaosInjector`) arms the
+    fleet-fabric faults during the replay: scheduled shard SIGKILLs and
+    frame corruption.  The final health payload then carries a
+    ``fleet_chaos`` stats block.
     """
-    from repro.service.chaos import FleetChaosConfig, FleetChaosInjector
+    from repro.service.chaos import ChaosConfig, ChaosInjector
     from repro.service.shard.frontend import FleetSupervisor
     from repro.service.shard.worker import ShardFleet
 
@@ -294,8 +293,8 @@ def replay_sharded(
     injector = None
     if fleet_chaos is not None:
         injector = (
-            FleetChaosInjector(fleet_chaos, trace_len=len(requests))
-            if isinstance(fleet_chaos, FleetChaosConfig) else fleet_chaos
+            ChaosInjector(fleet_chaos, trace_len=len(requests))
+            if isinstance(fleet_chaos, ChaosConfig) else fleet_chaos
         )
     own_fleet = fleet is None
     tempdir: Optional[tempfile.TemporaryDirectory] = None
@@ -304,12 +303,7 @@ def replay_sharded(
         if store_dir is None:
             tempdir = tempfile.TemporaryDirectory(prefix="repro-shard-replay-")
             store_dir = tempdir.name
-        fleet = ShardFleet(
-            shards=shards, store_dir=str(store_dir), cold_start=cold_start,
-            chaos_heartbeat=(
-                injector.heartbeat_options() if injector is not None else None
-            ),
-        )
+        fleet = ShardFleet(shards=shards, store_dir=str(store_dir), cold_start=cold_start)
         if supervise:
             supervisor = FleetSupervisor(fleet).start()
     if injector is not None:
@@ -319,8 +313,6 @@ def replay_sharded(
         start = time.perf_counter()
         results: List[Dict] = []
         for begin, chunk in _windowed(requests, window):
-            if injector is not None:
-                injector.on_window()
             arrival = time.perf_counter()
             # A window reaches the fleet in one call, unless a scheduled
             # kill falls inside it: the kill then fires between two calls,

@@ -26,7 +26,8 @@ model — the macro config with its overrides applied (:meth:`config`),
 the workload (:meth:`network`), and the ``mappings`` objective's
 single-layer check — happens on first use; :meth:`resolve` does all of
 it at once.  The scheduler calls it for every store miss before queueing
-the miss, so a config the model rejects (``rows: -1``), an unknown
+the miss, so a config the model rejects (``rows: -1``, an
+``adc_resolution`` of 15, a non-integral ``bits_per_cell``), an unknown
 workload name, or a malformed inline layer surfaces at submission as a
 :class:`ServiceError`: still a synchronous 400, or an inline envelope in
 a batch, never a dispatch-time failure.  A store hit is never resolved:
@@ -43,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, get_type_hints
 
 from repro.architecture.macro import CiMMacroConfig, OutputReuseStyle
 from repro.circuits.dac import DACType
@@ -63,12 +64,6 @@ from repro.workloads.networks import Network, load_network
 #: Schema version accepted by this build of the service.
 REQUEST_VERSION = 1
 
-#: Default retry budget of a request whose dispatch fails retryably.
-DEFAULT_MAX_RETRIES = 2
-
-#: Retry budgets beyond this are rejected (runaway amplification guard).
-MAX_RETRIES_LIMIT = 16
-
 #: Macro registry: request ``macro`` names -> config factories.
 MACRO_REGISTRY = {
     "base_macro": base_macro,
@@ -87,6 +82,13 @@ OBJECTIVES = ("energy", "area", "mappings")
 _TECHNOLOGY_OVERRIDES = ("node_nm", "vdd")
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclass_fields(CiMMacroConfig))
+
+#: Config fields that hold whole numbers: an override of one must be an
+#: integer (an integral float such as ``6.0`` is one).
+_INTEGER_FIELDS = frozenset(
+    name for name, hint in get_type_hints(CiMMacroConfig).items()
+    if hint in (int, Optional[int])
+)
 
 #: The value types a config override may hold; an inline-layer field
 #: may also be null.
@@ -172,10 +174,6 @@ class EvaluationRequest:
         result, so it is excluded from the canonical form — two requests
         differing only in deadline share one hash, store entry, and
         in-flight slot.
-    max_retries:
-        How many times a retryable dispatch failure may be retried
-        (default :data:`DEFAULT_MAX_RETRIES`).  Also an execution hint,
-        excluded from the canonical form.
     """
 
     macro: str = "base_macro"
@@ -187,7 +185,6 @@ class EvaluationRequest:
     seed: int = 0
     use_distributions: bool = True
     deadline_ms: Optional[float] = None
-    max_retries: int = DEFAULT_MAX_RETRIES
     version: int = REQUEST_VERSION
 
     # ------------------------------------------------------------------
@@ -228,13 +225,6 @@ class EvaluationRequest:
                     and self.deadline_ms > 0):
                 raise ServiceError("deadline_ms must be a positive number of milliseconds")
             object.__setattr__(self, "deadline_ms", float(self.deadline_ms))
-        retries = self.max_retries
-        if isinstance(retries, float) and retries.is_integer():
-            retries = int(retries)
-            object.__setattr__(self, "max_retries", retries)
-        if not (isinstance(retries, int) and not isinstance(retries, bool)
-                and 0 <= retries <= MAX_RETRIES_LIMIT):
-            raise ServiceError(f"max_retries must be an integer in [0, {MAX_RETRIES_LIMIT}]")
         # The canonical form, its hash, the config and the network are
         # each computed on first use and memoized; a store hit needs only
         # the first two.
@@ -295,12 +285,12 @@ class EvaluationRequest:
         ``energy``/``area`` evaluation, and ``area`` is a pure function
         of the config, so those fields are dropped from the canonical
         form — two requests that mean the same thing hash (and therefore
-        store/coalesce) the same.  Execution hints (``deadline_ms``,
-        ``max_retries``) shape *how* the request is scheduled, never
-        *what* it computes, so they too are excluded: a deadline-bearing
-        retry of an earlier request coalesces with (and is served from
-        the store entry of) the original.  Round-tripping through
-        :meth:`from_dict` preserves the canonical form.
+        store/coalesce) the same.  The execution hint ``deadline_ms``
+        shapes *how* the request is scheduled, never *what* it computes,
+        so it is excluded too: a deadline-bearing retry of an earlier
+        request coalesces with (and is served from the store entry of)
+        the original.  Round-tripping through :meth:`from_dict` preserves
+        the canonical form.
         """
         payload: Dict[str, object] = {
             "version": self.version,
@@ -336,8 +326,6 @@ class EvaluationRequest:
         hints: Dict[str, object] = {}
         if self.deadline_ms is not None:
             hints["deadline_ms"] = self.deadline_ms
-        if self.max_retries != DEFAULT_MAX_RETRIES:
-            hints["max_retries"] = self.max_retries
         return hints
 
     def canonical_json(self) -> str:
@@ -403,6 +391,11 @@ class EvaluationRequest:
         overrides = {
             key: _canonical_number(value) for key, value in self.overrides.items()
         }
+        for key, value in overrides.items():
+            if key in _INTEGER_FIELDS and isinstance(value, float):
+                raise ServiceError(
+                    f"invalid config overrides: {key} must be an integer, got {value!r}"
+                )
         try:
             node_nm = overrides.pop("node_nm", None)
             vdd = overrides.pop("vdd", None)

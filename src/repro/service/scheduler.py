@@ -31,28 +31,24 @@ fast at:
    ``mappings`` families warm their per-action energies with one
    ``derive_many`` before searching.
 
-Failure handling follows the taxonomy in :mod:`repro.service.faults`:
+Failure handling (the service's own faults are in
+:mod:`repro.service.faults`):
 
-* A **retryable** dispatch failure (an injected transient) is retried
-  with jittered exponential backoff, up to the family's smallest
-  per-request ``max_retries`` budget.
-* A failure that survives retries triggers **per-request isolation**:
-  each member of the family is re-dispatched *alone through the same
-  batched machinery* — config-axis derivation is elementwise per
-  config, so a healthy member's solo result is bitwise-identical to its
-  row in the family result — and a member that still fails falls back
-  to the **scalar oracle** (:func:`evaluate_scalar`) before its future
-  is failed.  One poisoned request therefore fails alone; its siblings
-  complete.
+* A family dispatch is attempted once: the evaluation is deterministic,
+  so a failed dispatch would fail the same way again.  A failed family
+  goes straight to **per-request isolation**: each member is
+  re-dispatched *alone through the same batched machinery* — config-axis
+  derivation is elementwise per config, so a healthy member's solo
+  result is bitwise-identical to its row in the family result — and a
+  member that still fails falls back to the **scalar oracle**
+  (:func:`evaluate_scalar`) before its future is failed.  One poisoned
+  request therefore fails alone; its siblings complete.
 * Requests carry optional **deadlines** (``deadline_ms``, hash-invariant)
   — a slot past its deadline fails fast with
   :class:`~repro.service.faults.DeadlineExceeded` instead of occupying a
   dispatch.
 * A bounded pending queue (``max_pending``) sheds load at submission
-  with :class:`~repro.service.faults.QueueFullError` (HTTP 429), and a
-  per-family :class:`~repro.service.faults.CircuitBreaker` short-circuits
-  repeatedly-failing families to fast
-  :class:`~repro.service.faults.CircuitOpenError` responses.
+  with :class:`~repro.service.faults.QueueFullError` (HTTP 429).
 
 Two consumption styles share the machinery: :meth:`submit` +
 :meth:`run_pending` give explicit control (the replay driver and tests
@@ -69,7 +65,6 @@ ever left blocked.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
@@ -79,26 +74,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.batch import BatchRunner, process_energy_cache
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.faults import (
-    BACKOFF_BASE_ENV,
-    BACKOFF_CAP_ENV,
-    BREAKER_COOLDOWN_ENV,
-    BREAKER_THRESHOLD_ENV,
-    DEFAULT_BACKOFF_BASE_S,
-    DEFAULT_BACKOFF_CAP_S,
-    DEFAULT_BREAKER_COOLDOWN_S,
-    DEFAULT_BREAKER_THRESHOLD,
     MAX_PENDING_ENV,
-    CircuitBreaker,
-    CircuitOpenError,
     DeadlineExceeded,
     QueueFullError,
     ShutdownError,
-    backoff_s,
-    is_retryable,
 )
 from repro.service.requests import EvaluationRequest
 from repro.service.store import ResultStore
-from repro.utils.env import env_positive_float, env_positive_int
+from repro.utils.env import env_positive_int
 
 #: Seconds the background dispatcher waits after the first pending request
 #: so concurrent arrivals coalesce into the same tick.
@@ -119,14 +102,12 @@ class SchedulerStats:
     :meth:`EvaluationScheduler.stored` are never submitted; ``GET
     /healthz`` adds them to ``submitted`` and ``store_hits``.)
 
-    Failure-path counters: ``retries`` counts request-slots re-attempted
-    after a retryable dispatch failure, ``fallbacks`` counts slots
-    isolated into solo batched dispatches after their family failed,
-    ``scalar_fallbacks`` counts slots rescued (or attempted) on the
-    scalar oracle, ``deadline_expired`` counts slots failed for missing
-    their deadline, ``breaker_trips`` / ``breaker_short_circuits`` count
-    circuit-breaker opens and the requests they rejected, and ``errors``
-    counts slots whose futures ultimately resolved with an exception.
+    Failure-path counters: ``fallbacks`` counts slots isolated into solo
+    batched dispatches after their family failed, ``scalar_fallbacks``
+    counts slots rescued (or attempted) on the scalar oracle,
+    ``deadline_expired`` counts slots failed for missing their deadline,
+    and ``errors`` counts slots whose futures ultimately resolved with an
+    exception.
 
     ``term_hits`` / ``term_misses`` / ``term_derivations`` attribute the
     process-wide term cache's traffic (:mod:`repro.core.terms`) to
@@ -143,13 +124,10 @@ class SchedulerStats:
     dispatched_batches: int = 0
     ticks: int = 0
     errors: int = 0
-    retries: int = 0
     fallbacks: int = 0
     scalar_fallbacks: int = 0
     deadline_expired: int = 0
     queue_sheds: int = 0
-    breaker_trips: int = 0
-    breaker_short_circuits: int = 0
     term_hits: int = 0
     term_misses: int = 0
     term_derivations: int = 0
@@ -168,13 +146,10 @@ class SchedulerStats:
             "dispatched_batches": self.dispatched_batches,
             "ticks": self.ticks,
             "errors": self.errors,
-            "retries": self.retries,
             "fallbacks": self.fallbacks,
             "scalar_fallbacks": self.scalar_fallbacks,
             "deadline_expired": self.deadline_expired,
             "queue_sheds": self.queue_sheds,
-            "breaker_trips": self.breaker_trips,
-            "breaker_short_circuits": self.breaker_short_circuits,
             "term_hits": self.term_hits,
             "term_misses": self.term_misses,
             "term_derivations": self.term_derivations,
@@ -200,8 +175,7 @@ class _Pending:
     """One unique in-flight request and everyone waiting on it.
 
     ``deadline`` is the most permissive (latest, or None for unbounded)
-    monotonic deadline of every coalesced waiter; ``max_retries`` is
-    likewise the largest attached retry budget — a duplicate must never
+    monotonic deadline of every coalesced waiter — a duplicate must never
     make the shared evaluation *stricter* than an earlier waiter asked.
     ``completed`` makes completion exactly-once under races between a
     dispatching thread and :meth:`EvaluationScheduler.close`.
@@ -211,18 +185,16 @@ class _Pending:
     request_hash: str
     futures: List[Future] = field(default_factory=list)
     deadline: Optional[float] = None
-    max_retries: int = 0
     completed: bool = False
 
     def merge_hints(self, request: EvaluationRequest) -> None:
-        """Fold a coalescing duplicate's execution hints into the slot."""
+        """Fold a coalescing duplicate's deadline into the slot."""
         if request.deadline_ms is None:
             self.deadline = None
         elif self.deadline is not None:
             self.deadline = max(
                 self.deadline, time.monotonic() + request.deadline_ms / 1000.0
             )
-        self.max_retries = max(self.max_retries, request.max_retries)
 
 
 # ----------------------------------------------------------------------
@@ -308,10 +280,6 @@ class EvaluationScheduler:
         store: Optional[ResultStore] = None,
         coalesce_window_s: float = DEFAULT_COALESCE_WINDOW_S,
         max_pending: Optional[int] = None,
-        backoff_base_s: Optional[float] = None,
-        backoff_cap_s: Optional[float] = None,
-        breaker_threshold: Optional[int] = None,
-        breaker_cooldown_s: Optional[float] = None,
         chaos: Optional[object] = None,
     ):
         # The default store honours the REPRO_RESULT_STORE_* environment
@@ -323,30 +291,10 @@ class EvaluationScheduler:
         self.runner = BatchRunner(workers=1)
         self.stats = SchedulerStats()
         self.coalesce_window_s = coalesce_window_s
-        # Fault-handling policy: explicit arguments win, then the
-        # REPRO_SERVICE_* environment knobs, then the defaults.
+        # Admission bound: the explicit argument wins, then the
+        # REPRO_SERVICE_MAX_PENDING environment knob (unbounded without).
         self.max_pending = (
             max_pending if max_pending is not None else env_positive_int(MAX_PENDING_ENV)
-        )
-        self.backoff_base_s = (
-            backoff_base_s
-            if backoff_base_s is not None
-            else (env_positive_float(BACKOFF_BASE_ENV) or DEFAULT_BACKOFF_BASE_S)
-        )
-        self.backoff_cap_s = (
-            backoff_cap_s
-            if backoff_cap_s is not None
-            else (env_positive_float(BACKOFF_CAP_ENV) or DEFAULT_BACKOFF_CAP_S)
-        )
-        self.breaker_threshold = (
-            breaker_threshold
-            if breaker_threshold is not None
-            else (env_positive_int(BREAKER_THRESHOLD_ENV) or DEFAULT_BREAKER_THRESHOLD)
-        )
-        self.breaker_cooldown_s = (
-            breaker_cooldown_s
-            if breaker_cooldown_s is not None
-            else (env_positive_float(BREAKER_COOLDOWN_ENV) or DEFAULT_BREAKER_COOLDOWN_S)
         )
         # The last-resort per-request rescue path; an instance attribute
         # so tests (and future shards) can substitute their own oracle.
@@ -356,8 +304,6 @@ class EvaluationScheduler:
         elif isinstance(chaos, ChaosConfig):
             chaos = ChaosInjector(chaos)
         self.chaos: Optional[ChaosInjector] = chaos
-        self._rng = random.Random(0)  # jitter stream; seeded for replay
-        self._breakers: Dict[Tuple, CircuitBreaker] = {}
         self._pending: "Dict[str, _Pending]" = {}
         # Slots drained from _pending but not yet completed: duplicates
         # arriving while their twin is *being evaluated* attach here, so
@@ -501,7 +447,6 @@ class EvaluationScheduler:
                 time.monotonic() + request.deadline_ms / 1000.0
                 if request.deadline_ms is not None else None
             ),
-            max_retries=request.max_retries,
         )
         return None
 
@@ -579,40 +524,20 @@ class EvaluationScheduler:
             families.setdefault(slot.request.family_key(), []).append(slot)
 
         completed = 0
-        for family_key, family in families.items():
-            completed += self._run_family(family_key, family)
+        for family in families.values():
+            completed += self._run_family(family)
         return completed
 
-    def _run_family(self, family_key: Tuple, family: List[_Pending]) -> int:
-        """Dispatch one family with retries, isolation, and breaker checks.
+    def _run_family(self, family: List[_Pending]) -> int:
+        """Dispatch one family, isolating its members if that fails.
 
         Returns how many of the family's slots completed with a result.
         """
         family = [slot for slot in family if not self._expire(slot)]
         if not family:
             return 0
-        with self._lock:
-            breaker = self._breakers.get(family_key)
-            if breaker is None:
-                breaker = CircuitBreaker(self.breaker_threshold, self.breaker_cooldown_s)
-                self._breakers[family_key] = breaker
-            allowed = breaker.allow()
-            if not allowed:
-                self.stats.breaker_short_circuits += len(family)
-        if not allowed:
-            error = CircuitOpenError(
-                f"family {family_key!r} is short-circuited after "
-                f"{breaker.consecutive_failures} consecutive failed dispatches",
-                retry_after_s=breaker.retry_after_s(),
-            )
-            for slot in family:
-                self._complete(slot, error=error)
-            return 0
-
         family_error = self._try_batched(family)
         if family_error is None:
-            with self._lock:
-                breaker.record_success()
             return len(family)
 
         # Failure isolation: the shared dispatch is dead, but its
@@ -635,59 +560,33 @@ class EvaluationScheduler:
                     continue
             if self._scalar_rescue(slot, slot_error):
                 completed += 1
-        with self._lock:
-            if completed:
-                breaker.record_success()
-            elif breaker.record_failure():
-                self.stats.breaker_trips += 1
         return completed
 
     def _try_batched(self, family: List[_Pending]) -> Optional[BaseException]:
-        """One batched dispatch with backoff-retries for retryable errors.
+        """One batched dispatch, attempted once.
 
         Completes every slot and returns None on success; returns the
-        final error (without completing anything) on failure, so the
-        caller decides between isolation, scalar rescue, and giving up.
-        The retry budget is the family's smallest slot budget — members
-        asking for fewer retries must not be held hostage by greedier
-        siblings; their remaining budget applies when they are isolated.
+        error (without completing anything) on failure, so the caller
+        decides between isolation, scalar rescue, and giving up.
         """
-        budget = min(slot.max_retries for slot in family)
-        attempt = 0
-        while True:
-            try:
-                results = self._dispatch_with_stats(family)
-            except Exception as error:  # noqa: BLE001 - classified below
-                if not is_retryable(error) or attempt >= budget or self._closed:
-                    return error
-                attempt += 1
-                delay = backoff_s(
-                    attempt, self.backoff_base_s, self.backoff_cap_s, self._rng
-                )
-                deadlines = [s.deadline for s in family if s.deadline is not None]
-                if deadlines:
-                    remaining = min(deadlines) - time.monotonic()
-                    if remaining <= 0:
-                        return error
-                    delay = min(delay, remaining)
-                with self._lock:
-                    self.stats.retries += len(family)
-                time.sleep(delay)
-                continue
-            for slot, result in zip(family, results):
-                self._complete(slot, result=result)
-            return None
+        try:
+            results = self._dispatch_with_stats(family)
+        except Exception as error:  # noqa: BLE001 - answered by the caller
+            return error
+        for slot, result in zip(family, results):
+            self._complete(slot, result=result)
+        return None
 
     def _scalar_rescue(self, slot: _Pending, error: BaseException) -> bool:
         """Last resort: serve one slot from the scalar oracle.
 
-        Shutdown/deadline/breaker failures are verdicts about the
-        *request*, not the batched engine, so they are surfaced as-is;
-        anything else gets one oracle attempt.  When the oracle also
-        fails, the slot is failed with the original dispatch error (the
-        more diagnostic of the two).
+        Shutdown/deadline failures are verdicts about the *request*, not
+        the batched engine, so they are surfaced as-is; anything else
+        gets one oracle attempt.  When the oracle also fails, the slot is
+        failed with the original dispatch error (the more diagnostic of
+        the two).
         """
-        if isinstance(error, (ShutdownError, DeadlineExceeded, CircuitOpenError)):
+        if isinstance(error, (ShutdownError, DeadlineExceeded)):
             self._complete(slot, error=error)
             return False
         with self._lock:
@@ -712,10 +611,7 @@ class EvaluationScheduler:
         return True
 
     def _dispatch_with_stats(self, family: List[_Pending]) -> List[Dict]:
-        """One family dispatch plus its success-path accounting (and the
-        chaos injector's pre-dispatch hook, when one is armed)."""
-        if self.chaos is not None:
-            self.chaos.before_dispatch(len(family))
+        """One family dispatch plus its success-path accounting."""
         before = _term_counters()
         results = self._dispatch_family(family)
         after = _term_counters()
@@ -942,20 +838,11 @@ class EvaluationScheduler:
             pending = len(self._pending)
             inflight = len(self._inflight)
             stats = self.stats.as_dict()
-            breakers = {
-                repr(key): {
-                    "state": breaker.state,
-                    "consecutive_failures": breaker.consecutive_failures,
-                    "trips": breaker.trips,
-                }
-                for key, breaker in self._breakers.items()
-            }
         payload: Dict[str, object] = {
             "status": "ok",
             "pending": pending,
             "inflight": inflight,
             "scheduler": stats,
-            "breakers": breakers,
             "store": self.store.stats(),
             "energy_cache": process_energy_cache().stats(),
         }

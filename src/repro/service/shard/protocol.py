@@ -18,7 +18,7 @@ Requests (front end -> worker)::
     {"id": N, "op": "evaluate", "members": [          # one frame per shard
         {"id": C, "hash": "<sha256>",                 # per-member correlation
          "request": "<canonical JSON>",               # hashes to "hash"
-         "hints": {"deadline_ms": ..., "max_retries": ...}},  # optional
+         "hints": {"deadline_ms": ...}},              # optional
         ...]}
     {"id": N, "op": "result", "hash": "<sha256>"}   # store lookup
     {"id": N, "op": "healthz"}                      # scheduler health

@@ -2,8 +2,8 @@
 
 A *shard worker* is the single-process evaluation service wrapped in a
 child process: its own coalescing scheduler (with the full fault
-pipeline — retries, isolation, scalar rescue, breakers — and chaos
-wiring via the usual ``REPRO_CHAOS`` knobs), evaluating in its own
+pipeline — isolation, scalar rescue, deadlines, admission — and store
+chaos via the usual ``REPRO_CHAOS`` knobs), evaluating in its own
 process, and a :class:`~repro.service.store.ResultStore` whose **disk
 tier is shared** across the fleet — every worker points at the same
 directory, writes are atomic and content-addressed, so any worker serves
@@ -56,12 +56,10 @@ import hashlib
 import json
 import multiprocessing
 import os
-import random
 import signal
 import socket
 import threading
 import time
-import zlib
 from concurrent.futures import Future, InvalidStateError
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -273,21 +271,9 @@ def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
         options.get("heartbeat_interval_s") or DEFAULT_HEARTBEAT_INTERVAL_S
     )
     beat_stop = threading.Event()
-    delay_probability = float(options.get("chaos_heartbeat_delay") or 0.0)
-    delay_s = float(options.get("chaos_heartbeat_delay_s") or 0.0)
-    beat_rng = random.Random(
-        int(options.get("chaos_seed") or 0) ^ zlib.crc32(shard_id.encode("utf-8"))
-    )
 
     def _heartbeat_loop() -> None:
         while not beat_stop.wait(interval):
-            if delay_probability > 0.0 and beat_rng.random() < delay_probability:
-                # Injected heartbeat delay: the worker stays healthy but
-                # goes quiet past the detector's timeout, exercising the
-                # false-positive path (declared dead, killed, in-flight
-                # work re-dispatched — correctness must be unaffected).
-                if beat_stop.wait(delay_s):
-                    break
             sender.heartbeats_sent += 1
             if not sender.send(
                 heartbeat_message(sender.heartbeats_sent, shard_id),
@@ -711,7 +697,6 @@ class ShardFleet:
         coalesce_window_s: Optional[float] = None,
         cold_start: bool = False,
         heartbeat_interval_s: Optional[float] = None,
-        chaos_heartbeat: Optional[Dict] = None,
     ):
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
@@ -732,10 +717,10 @@ class ShardFleet:
         self.supervisor = None
         #: Chaos hook applied to every (current and future) shard channel.
         self.frame_corrupt_hook: Optional[Callable[[bytes], bytes]] = None
-        #: Content hash -> (future, max_retries) of each deadline-free
-        #: evaluate op in flight: later requests for the hash attach to
-        #: the future instead of crossing the wire.
-        self._inflight: Dict[str, Tuple[Future, int]] = {}
+        #: Content hash -> future of each deadline-free evaluate op in
+        #: flight: later requests for the hash attach to the future
+        #: instead of crossing the wire.
+        self._inflight: Dict[str, Future] = {}
         #: Requests answered by attaching to an in-flight op; folded into
         #: the merged ``scheduler.submitted`` / ``coalesced`` counters.
         self.coalesced = 0
@@ -751,12 +736,6 @@ class ShardFleet:
             "cold_start": cold_start,
             "heartbeat_interval_s": heartbeat_interval_s,
         }
-        if chaos_heartbeat:
-            self._options.update({
-                "chaos_heartbeat_delay": chaos_heartbeat.get("delay", 0.0),
-                "chaos_heartbeat_delay_s": chaos_heartbeat.get("delay_s", 0.0),
-                "chaos_seed": chaos_heartbeat.get("seed", 0),
-            })
         for _ in range(shards):
             self.add_shard()
 
@@ -978,11 +957,11 @@ class ShardFleet:
         or the :class:`FleetDegradedError` of a fleet below quorum.  A
         request whose hash already has an evaluate op in flight attaches
         to that op's future and never crosses the wire, unless it carries
-        a deadline or more retries than that op: those go to their shard,
-        whose scheduler merges hints.  The rest are grouped by ring owner
-        and each owner gets one ``evaluate`` frame holding all of its
-        members; every member keeps its own :class:`_PendingOp`, so crash
-        recovery and re-dispatch stay per op.
+        a deadline: that goes to its shard, whose scheduler merges
+        deadlines.  The rest are grouped by ring owner and each owner
+        gets one ``evaluate`` frame holding all of its members; every
+        member keeps its own :class:`_PendingOp`, so crash recovery and
+        re-dispatch stay per op.
         """
         outcomes: List = []
         records: List[_PendingOp] = []
@@ -993,13 +972,9 @@ class ShardFleet:
             for request in requests:
                 request_hash = request.content_hash()
                 inflight = self._inflight.get(request_hash)
-                if (
-                    inflight is not None
-                    and request.deadline_ms is None
-                    and request.max_retries <= inflight[1]
-                ):
+                if inflight is not None and request.deadline_ms is None:
                     self.coalesced += 1
-                    outcomes.append(inflight[0])
+                    outcomes.append(inflight)
                     continue
                 fields = {"hash": request_hash, "request": request.canonical_json()}
                 hints = request.execution_hints()
@@ -1007,7 +982,7 @@ class ShardFleet:
                     fields["hints"] = hints
                 record = _PendingOp(Future(), "evaluate", fields, request_hash)
                 if inflight is None and request.deadline_ms is None:
-                    self._inflight[request_hash] = (record.future, request.max_retries)
+                    self._inflight[request_hash] = record.future
                     tracked.append(record)
                 records.append(record)
                 outcomes.append(record.future)
@@ -1021,8 +996,7 @@ class ShardFleet:
     def _settled(self, request_hash: str, future: Future) -> None:
         """Done-callback: a resolved op no longer takes attachments."""
         with self._lock:
-            entry = self._inflight.get(request_hash)
-            if entry is not None and entry[0] is future:
+            if self._inflight.get(request_hash) is future:
                 del self._inflight[request_hash]
 
     def _route(self, records: List[_PendingOp]) -> None:

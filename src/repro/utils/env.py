@@ -1,7 +1,7 @@
 """Numeric environment knobs, parsed one way everywhere.
 
-Every ``REPRO_*`` size, count and duration knob goes through
-:func:`env_positive_int` or :func:`env_positive_float`: unset or empty
+Every numeric ``REPRO_*`` knob goes through :func:`env_positive_int`,
+:func:`env_positive_float` or :func:`env_probability`: unset or empty
 yields None (the caller's default applies), and a malformed or
 out-of-range value is ignored with one warning on stderr instead of
 taking the run down, so a typo in a deployment's environment is visible
@@ -43,3 +43,10 @@ def env_positive_float(variable: str) -> Optional[float]:
     """A number above zero from the environment, or None (NaN is refused:
     it compares false with everything)."""
     return _env_number(variable, float, lambda value: value > 0.0, "a number above zero")
+
+
+def env_probability(variable: str) -> Optional[float]:
+    """A probability in [0, 1] from the environment, or None."""
+    return _env_number(
+        variable, float, lambda value: 0.0 <= value <= 1.0, "a probability in [0, 1]"
+    )

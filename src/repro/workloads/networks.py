@@ -285,8 +285,10 @@ def matrix_vector_workload(rows: int, cols: int, repeats: int = 1) -> Network:
     """
     if rows < 1 or cols < 1:
         raise WorkloadError("matrix-vector workload needs positive dimensions")
+    if repeats < 1:
+        raise WorkloadError("matrix-vector workload needs at least one repeat")
     layer = matmul_layer(
-        f"mvm_{rows}x{cols}", m=cols, k=rows, n=max(repeats, 1),
+        f"mvm_{rows}x{cols}", m=cols, k=rows, n=repeats,
         activation_style=ActivationStyle.CNN_SPARSE_UNSIGNED,
     )
     return Network(name=f"mvm_{rows}x{cols}", layers=(layer,))

@@ -3,20 +3,26 @@
 Each knob is read through its real consumer: a well-formed value is
 used, unset or empty means the default, and a malformed or out-of-range
 value warns on stderr and falls back to the default.  A restart budget
-of 0 is well-formed (recover in-flight work, never respawn).
+of 0 is well-formed (recover in-flight work, never respawn), and so are
+a chaos seed of 0 and a chaos probability of 0 or 1.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.service.faults import DEFAULT_BACKOFF_BASE_S
+from repro.service.chaos import PRESET_CORRUPT_ENTRY
 from repro.service.scheduler import EvaluationScheduler
 from repro.service.shard.frontend import (
     DEFAULT_MIN_QUORUM,
     DEFAULT_RESTART_BUDGET,
+    DEFAULT_TIMEOUT_INTERVALS,
     FleetSupervisor,
 )
+
+#: The heartbeat interval of the stub fleet the supervisor reads.
+_INTERVAL_S = 0.05
+_DEFAULT_TIMEOUT_S = DEFAULT_TIMEOUT_INTERVALS * _INTERVAL_S
 
 
 def _scheduler(attribute):
@@ -24,7 +30,9 @@ def _scheduler(attribute):
 
 
 def _supervisor(attribute):
-    return lambda: getattr(FleetSupervisor(SimpleNamespace(heartbeat_interval_s=0.05)), attribute)
+    return lambda: getattr(
+        FleetSupervisor(SimpleNamespace(heartbeat_interval_s=_INTERVAL_S)), attribute
+    )
 
 
 @pytest.mark.parametrize("variable, raw, read, expected, warns", [
@@ -33,13 +41,14 @@ def _supervisor(attribute):
     ("REPRO_SERVICE_MAX_PENDING", "0", _scheduler("max_pending"), None, True),
     ("REPRO_SERVICE_MAX_PENDING", "2.5", _scheduler("max_pending"), None, True),
     ("REPRO_SERVICE_MAX_PENDING", "many", _scheduler("max_pending"), None, True),
-    ("REPRO_SERVICE_BACKOFF_BASE_S", "0.25", _scheduler("backoff_base_s"), 0.25, False),
-    ("REPRO_SERVICE_BACKOFF_BASE_S", "0", _scheduler("backoff_base_s"),
-     DEFAULT_BACKOFF_BASE_S, True),
-    ("REPRO_SERVICE_BACKOFF_BASE_S", "nan", _scheduler("backoff_base_s"),
-     DEFAULT_BACKOFF_BASE_S, True),
-    ("REPRO_SERVICE_BACKOFF_BASE_S", "soon", _scheduler("backoff_base_s"),
-     DEFAULT_BACKOFF_BASE_S, True),
+    ("REPRO_FLEET_HEARTBEAT_TIMEOUT_S", "0.25", _supervisor("heartbeat_timeout_s"),
+     0.25, False),
+    ("REPRO_FLEET_HEARTBEAT_TIMEOUT_S", "0", _supervisor("heartbeat_timeout_s"),
+     _DEFAULT_TIMEOUT_S, True),
+    ("REPRO_FLEET_HEARTBEAT_TIMEOUT_S", "nan", _supervisor("heartbeat_timeout_s"),
+     _DEFAULT_TIMEOUT_S, True),
+    ("REPRO_FLEET_HEARTBEAT_TIMEOUT_S", "soon", _supervisor("heartbeat_timeout_s"),
+     _DEFAULT_TIMEOUT_S, True),
     ("REPRO_FLEET_RESTART_BUDGET", "0", _supervisor("restart_budget"), 0, False),
     ("REPRO_FLEET_RESTART_BUDGET", "3", _supervisor("restart_budget"), 3, False),
     ("REPRO_FLEET_RESTART_BUDGET", "-1", _supervisor("restart_budget"),
@@ -55,3 +64,25 @@ def test_numeric_env_knobs(monkeypatch, capsys, variable, raw, read, expected, w
     assert read() == expected
     warned = f"warning: ignoring {variable}=" in capsys.readouterr().err
     assert warned == warns
+
+
+@pytest.mark.parametrize("variable, raw, attribute, expected, warns", [
+    ("REPRO_CHAOS_SEED", "7", "seed", 7, False),
+    ("REPRO_CHAOS_SEED", "0", "seed", 0, False),
+    ("REPRO_CHAOS_SEED", "abc", "seed", 0, True),
+    ("REPRO_CHAOS_SEED", "-1", "seed", 0, True),
+    ("REPRO_CHAOS_CORRUPT_ENTRY", "0.5", "corrupt_entry", 0.5, False),
+    ("REPRO_CHAOS_CORRUPT_ENTRY", "0", "corrupt_entry", 0.0, False),
+    ("REPRO_CHAOS_CORRUPT_ENTRY", "1", "corrupt_entry", 1.0, False),
+    ("REPRO_CHAOS_CORRUPT_ENTRY", "lots", "corrupt_entry", PRESET_CORRUPT_ENTRY, True),
+    ("REPRO_CHAOS_CORRUPT_ENTRY", "1.5", "corrupt_entry", PRESET_CORRUPT_ENTRY, True),
+    ("REPRO_CHAOS_CORRUPT_ENTRY", "nan", "corrupt_entry", PRESET_CORRUPT_ENTRY, True),
+])
+def test_chaos_env_knobs(monkeypatch, capsys, variable, raw, attribute, expected, warns):
+    """The ambient chaos knobs, read by a scheduler built with
+    ``REPRO_CHAOS=1``: a malformed one never stops it from starting."""
+    monkeypatch.setenv("REPRO_CHAOS", "1")
+    monkeypatch.setenv(variable, raw)
+    assert getattr(EvaluationScheduler().chaos.config, attribute) == expected
+    err = capsys.readouterr().err
+    assert err.count(f"warning: ignoring {variable}=") == (1 if warns else 0)

@@ -128,6 +128,7 @@ class TestRequestHashing:
         ({"macro": "nope"}, "unknown macro"),
         ({"workload": "mvm_32x32", "objective": "nope"}, "unknown objective"),
         ({"workload": "mvm_32x32", "bogus": 1}, "unknown request field"),
+        ({"workload": "mvm_32x32", "max_retries": 2}, "unknown request field"),
         ({"workload": "mvm_32x32", "version": 99}, "unsupported request version"),
         ({"workload": "mvm_32x32", "overrides": {"bogus": 1}}, "unknown config override"),
         ({"objective": "energy"}, "needs a workload"),
@@ -142,11 +143,22 @@ class TestRequestHashing:
         ({"workload": "not_a_network"}, "unknown network"),
         ({"workload": "resnet18", "objective": "mappings"}, "single-layer"),
         ({"workload": "mvm_32x32", "overrides": {"rows": -1}}, "invalid config overrides"),
+        ({"workload": "mvm_32x32", "overrides": {"adc_resolution": 0}},
+         r"adc_resolution must be in \[1, 14\]"),
+        ({"workload": "mvm_32x32", "overrides": {"adc_resolution": 15}},
+         r"adc_resolution must be in \[1, 14\]"),
+        ({"workload": "mvm_32x32", "overrides": {"adc_resolution": 5.5}},
+         "adc_resolution must be an integer"),
+        ({"workload": "mvm_32x32", "overrides": {"bits_per_cell": 1.5}},
+         "bits_per_cell must be an integer"),
+        ({"workload": "mvm_32x32", "overrides": {"rows": 1.5}}, "rows must be an integer"),
+        ({"workload": "mvm_32x32_x0"}, "at least one repeat"),
     ])
     def test_resolution_errors_surface_at_submit(self, payload, message):
         """Building a request checks its syntax and hashes it; the config
         and workload resolve when a miss is submitted, which refuses a
-        request the model cannot evaluate with the same message."""
+        request the model cannot evaluate with the same message — a 400,
+        before anything is queued or dispatched."""
         request = EvaluationRequest.from_dict(payload)
         assert len(request.content_hash()) == 64
         scheduler = EvaluationScheduler()
@@ -154,6 +166,7 @@ class TestRequestHashing:
             scheduler.submit(request)
         [refusal] = scheduler.submit_many([request])
         assert isinstance(refusal, ServiceError) and re.search(message, str(refusal))
+        assert error_status(refusal) == 400
         assert scheduler.stats.dispatched_requests == 0 and not scheduler._pending
 
     def test_family_keys_group_by_workload_and_objective(self):

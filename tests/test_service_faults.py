@@ -1,16 +1,15 @@
-"""Tests for the service's fault-tolerance layer (repro.service.faults).
+"""Tests for the service's fault handling (repro.service.faults).
 
-Covers the failure taxonomy and policies (retryable-vs-permanent
-classification, jittered backoff, the circuit breaker), hash invariance
-of the execution hints (``deadline_ms`` / ``max_retries``), scheduler
+Covers hash invariance of the ``deadline_ms`` execution hint, scheduler
 failure isolation (a poisoned request fails alone, its family's healthy
-members complete bitwise-identically to a clean run), retries with
-backoff, the scalar-oracle rescue, deadlines, bounded-queue admission
+members complete bitwise-identically to a clean run), the single
+dispatch attempt and the scalar-oracle rescue, that failed families
+never shut out later valid requests, deadlines, bounded-queue admission
 control, shutdown semantics of :meth:`EvaluationScheduler.close`,
 corruption quarantine in the result store and disk energy cache, the
-deterministic chaos injector, and
-the HTTP front end's fault-to-status mapping (400/429/503/504/500 +
-``Retry-After``), identical from a single process and from a fleet.
+deterministic chaos injector, and the HTTP front end's fault-to-status
+mapping (400/429/503/504/500 + ``Retry-After``), identical from a single
+process and from a fleet.
 """
 
 import json
@@ -25,21 +24,15 @@ from repro.core.fast_pipeline import DiskEnergyCache
 from repro.service import (
     ChaosConfig,
     ChaosInjector,
-    CircuitBreaker,
-    CircuitOpenError,
     DeadlineExceeded,
     EvaluationRequest,
     EvaluationScheduler,
-    PermanentError,
     QueueFullError,
     ResultStore,
-    RetryableError,
     ServiceError,
     ShutdownError,
-    is_retryable,
 )
-from repro.service.chaos import ChaosError
-from repro.service.faults import FleetDegradedError, backoff_s
+from repro.service.faults import FleetDegradedError
 from repro.service.shard import (
     FrameDecoder,
     RingEmptyError,
@@ -56,94 +49,26 @@ def _request(**kwargs):
     return EvaluationRequest(**defaults)
 
 
-def _fast_scheduler(**kwargs):
-    """A scheduler with a near-zero backoff so retry tests stay quick."""
-    kwargs.setdefault("backoff_base_s", 0.001)
-    kwargs.setdefault("backoff_cap_s", 0.002)
-    return EvaluationScheduler(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# Taxonomy and policies
-# ----------------------------------------------------------------------
-class TestTaxonomy:
-    def test_classification(self):
-        assert is_retryable(RetryableError("flaky"))
-        assert is_retryable(QueueFullError("full"))
-        assert is_retryable(ChaosError("injected"))
-        assert not is_retryable(PermanentError("no"))
-        assert not is_retryable(ShutdownError("closing"))
-        assert not is_retryable(DeadlineExceeded("late"))
-        assert not is_retryable(CircuitOpenError("open"))
-        # Unknown exceptions default to permanent: evaluation is
-        # deterministic, so they would simply repeat.
-        assert not is_retryable(RuntimeError("model bug"))
-        assert not is_retryable(ValueError("bad value"))
-
-    def test_backoff_is_bounded_exponential_with_jitter(self):
-        import random
-
-        rng = random.Random(7)
-        delays = [backoff_s(a, base_s=0.1, cap_s=1.0, rng=rng) for a in range(1, 8)]
-        for attempt, delay in enumerate(delays, start=1):
-            ceiling = min(1.0, 0.1 * 2 ** (attempt - 1))
-            assert ceiling / 2 <= delay <= ceiling
-        # Deterministic under an equal seed.
-        rng2 = random.Random(7)
-        assert delays == [
-            backoff_s(a, base_s=0.1, cap_s=1.0, rng=rng2) for a in range(1, 8)
-        ]
-        with pytest.raises(ValueError):
-            backoff_s(0)
-
-    def test_circuit_breaker_cycle(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=0.05)
-        assert breaker.state == "closed" and breaker.allow()
-        assert not breaker.record_failure()
-        assert breaker.allow()
-        assert breaker.record_failure()  # trips
-        assert breaker.state == "open" and not breaker.allow()
-        assert breaker.retry_after_s() > 0
-        time.sleep(0.06)
-        assert breaker.state == "half_open" and breaker.allow()
-        # A failed probe re-opens for a full cooldown.
-        assert breaker.record_failure()
-        assert breaker.state == "open" and breaker.trips == 2
-        time.sleep(0.06)
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.consecutive_failures == 0
-
-
 # ----------------------------------------------------------------------
 # Execution hints are hash-invariant
 # ----------------------------------------------------------------------
 class TestExecutionHints:
-    def test_deadline_and_retries_do_not_change_the_hash(self):
+    def test_deadline_does_not_change_the_hash(self):
         plain = _request()
-        hinted = _request(deadline_ms=250.0, max_retries=5)
+        hinted = _request(deadline_ms=250.0)
         assert plain.content_hash() == hinted.content_hash()
         assert plain.canonical_json() == hinted.canonical_json()
         assert "deadline_ms" not in hinted.to_dict()
-        assert "max_retries" not in hinted.to_dict()
 
     def test_hints_round_trip_from_dict(self):
-        request = EvaluationRequest.from_dict(
-            {"workload": "mvm_32x32", "deadline_ms": 100, "max_retries": 3.0}
-        )
+        request = EvaluationRequest.from_dict({"workload": "mvm_32x32", "deadline_ms": 100})
         assert request.deadline_ms == 100.0
-        assert request.max_retries == 3  # integral float coerced
 
     def test_hint_validation(self):
         with pytest.raises(ServiceError):
             _request(deadline_ms=0)
         with pytest.raises(ServiceError):
             _request(deadline_ms=-5)
-        with pytest.raises(ServiceError):
-            _request(max_retries=-1)
-        with pytest.raises(ServiceError):
-            _request(max_retries=99)
-        with pytest.raises(ServiceError):
-            _request(max_retries=1.5)
 
 
 # ----------------------------------------------------------------------
@@ -204,20 +129,20 @@ class TestFailureIsolation:
         scheduler = EvaluationScheduler()
 
         def explode(family):
-            raise PermanentError("family is broken")
+            raise RuntimeError("family is broken")
 
         scheduler._dispatch_family = explode
         scheduler.scalar_fallback = lambda request: (_ for _ in ()).throw(
-            PermanentError("oracle broken")
+            RuntimeError("oracle broken")
         )
         request = _request(overrides={"adc_resolution": 5})
         first = scheduler.submit(request)
         second = scheduler.submit(request)  # coalesces onto the same slot
         assert scheduler.stats.coalesced == 1
         scheduler.run_pending()
-        with pytest.raises(PermanentError):
+        with pytest.raises(RuntimeError, match="family is broken"):
             first.result()
-        with pytest.raises(PermanentError):
+        with pytest.raises(RuntimeError, match="family is broken"):
             second.result()
         assert first.exception() is second.exception()
         # One slot failed -> one error, regardless of waiter count.
@@ -225,29 +150,11 @@ class TestFailureIsolation:
 
 
 # ----------------------------------------------------------------------
-# Retries, backoff, and the scalar-oracle rescue
+# One dispatch attempt, then the scalar-oracle rescue
 # ----------------------------------------------------------------------
 class TestRetriesAndRescue:
-    def test_transient_failures_are_retried_to_success(self):
-        scheduler = _fast_scheduler()
-        real_run_grid = scheduler.runner.run_grid
-        failures = {"left": 2}
-
-        def flaky_run_grid(configs, network, **kwargs):
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise RetryableError("transient glitch")
-            return real_run_grid(configs, network, **kwargs)
-
-        scheduler.runner.run_grid = flaky_run_grid
-        result = scheduler.evaluate(_request())  # default max_retries=2
-        assert result["summary"]["total_energy_j"] > 0
-        assert scheduler.stats.retries == 2
-        assert scheduler.stats.errors == 0
-        assert scheduler.stats.scalar_fallbacks == 0
-
     def test_permanent_failure_is_not_retried_but_oracle_rescues(self):
-        scheduler = _fast_scheduler()
+        scheduler = EvaluationScheduler()
         calls = {"run_grid": 0}
 
         def broken_run_grid(configs, network, **kwargs):
@@ -255,31 +162,15 @@ class TestRetriesAndRescue:
             raise RuntimeError("batched engine down")
 
         scheduler.runner.run_grid = broken_run_grid
-        result = scheduler.evaluate(_request(max_retries=5))
-        # Permanent error: a single dispatch attempt, then the oracle.
+        result = scheduler.evaluate(_request())
+        # A single dispatch attempt, then the oracle.
         assert calls["run_grid"] == 1
-        assert scheduler.stats.retries == 0
         assert scheduler.stats.scalar_fallbacks == 1
         assert scheduler.stats.errors == 0
         reference = EvaluationScheduler().evaluate(_request())
         assert result["summary"]["total_energy_j"] == pytest.approx(
             reference["summary"]["total_energy_j"], rel=1e-9
         )
-
-    def test_retry_budget_is_respected_then_oracle_rescues(self):
-        scheduler = _fast_scheduler()
-        calls = {"run_grid": 0}
-
-        def always_flaky(configs, network, **kwargs):
-            calls["run_grid"] += 1
-            raise RetryableError("still flaky")
-
-        scheduler.runner.run_grid = always_flaky
-        result = scheduler.evaluate(_request(max_retries=1))
-        assert calls["run_grid"] == 2  # initial + one retry
-        assert scheduler.stats.retries == 1
-        assert scheduler.stats.scalar_fallbacks == 1
-        assert result["summary"]["total_energy_j"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -330,42 +221,38 @@ class TestAdmissionControl:
 
 
 # ----------------------------------------------------------------------
-# Circuit breaker at the scheduler level
+# Failed families never shut out a later valid request
 # ----------------------------------------------------------------------
-class TestSchedulerBreaker:
-    def test_repeated_family_failures_trip_the_breaker_then_recover(self):
-        scheduler = _fast_scheduler(breaker_threshold=2, breaker_cooldown_s=0.05)
+class TestFamilyFailures:
+    def test_failed_dispatches_never_refuse_a_later_valid_request(self):
+        """Evaluation is deterministic, so a family whose every member
+        failed says nothing about the next request of that family: it is
+        dispatched like any other, once."""
+        scheduler = EvaluationScheduler()
         calls = {"dispatch": 0}
-        real_dispatch = scheduler._dispatch_family
+        real_dispatch, real_oracle = scheduler._dispatch_family, scheduler.scalar_fallback
 
         def broken_dispatch(family):
             calls["dispatch"] += 1
-            raise PermanentError("family engine down")
+            raise RuntimeError("family engine down")
 
         scheduler._dispatch_family = broken_dispatch
         scheduler.scalar_fallback = lambda request: (_ for _ in ()).throw(
-            PermanentError("oracle down too")
+            RuntimeError("oracle down too")
         )
-        for adc in (4, 5):
-            with pytest.raises(PermanentError):
+        failing = (3, 4, 5, 6, 7, 8)
+        for adc in failing:
+            with pytest.raises(RuntimeError, match="family engine down"):
                 scheduler.evaluate(_request(overrides={"adc_resolution": adc}))
-        assert scheduler.stats.breaker_trips == 1
-        dispatches_before = calls["dispatch"]
-        # Open breaker: short-circuited without touching the dispatcher.
-        with pytest.raises(CircuitOpenError) as excinfo:
-            scheduler.evaluate(_request(overrides={"adc_resolution": 6}))
-        assert calls["dispatch"] == dispatches_before
-        assert excinfo.value.retry_after_s > 0
-        assert scheduler.stats.breaker_short_circuits == 1
-        # After the cooldown the half-open probe goes through; a healthy
-        # dispatch closes the breaker again.
-        time.sleep(0.06)
+        assert calls["dispatch"] == len(failing)  # one attempt each
+        assert scheduler.stats.errors == len(failing)
+
         scheduler._dispatch_family = real_dispatch
-        result = scheduler.evaluate(_request(overrides={"adc_resolution": 7}))
-        assert result["summary"]["total_energy_j"] > 0
-        health = scheduler.health()
-        states = {entry["state"] for entry in health["breakers"].values()}
-        assert states == {"closed"}
+        scheduler.scalar_fallback = real_oracle
+        valid = _request(overrides={"adc_resolution": 2})
+        assert scheduler.evaluate(valid) == EvaluationScheduler().evaluate(valid)
+        assert scheduler.stats.errors == len(failing)
+        assert scheduler.stats.scalar_fallbacks == len(failing)
 
 
 # ----------------------------------------------------------------------
@@ -445,33 +332,72 @@ class TestQuarantine:
 # ----------------------------------------------------------------------
 # Chaos injection
 # ----------------------------------------------------------------------
+class _ForgetfulStore:
+    """The two store methods the corruption site calls, recorded."""
+
+    def __init__(self):
+        self.forgotten = []
+
+    def forget(self, request_hash):
+        self.forgotten.append(request_hash)
+
+    def path_for(self, request_hash):
+        return None
+
+
 class TestChaos:
     def test_injector_is_deterministic_under_a_seed(self):
-        config = ChaosConfig(seed=42, transient=0.3)
+        """Each site draws from its own stream — ``Random(seed)`` for the
+        store, ``Random(seed ^ 0xF1EE7)`` for the fleet fabric — so the
+        same seed injects the same faults, whatever the other site did."""
+        import random
 
-        def decision_stream(injector, rolls=60):
-            pattern = []
-            for _ in range(rolls):
-                try:
-                    injector.before_dispatch(1)
-                    pattern.append(False)
-                except ChaosError:
-                    pattern.append(True)
-            return pattern
+        config = ChaosConfig(seed=42, corrupt_entry=0.3, frame_corrupt=0.3)
+        hashes = [f"{index:064x}" for index in range(60)]
+        frame = b"\x00\x00\x00\x02{}"
 
-        first = decision_stream(ChaosInjector(config))
-        second = decision_stream(ChaosInjector(config))
-        assert first == second
-        assert any(first) and not all(first)
+        def store_stream(injector):
+            store = _ForgetfulStore()
+            for request_hash in hashes:
+                injector.after_store(store, request_hash)
+            return store.forgotten
+
+        def frame_stream(injector):
+            return [injector._corrupt_frame(frame) != frame for _ in hashes]
+
+        first, second = ChaosInjector(config), ChaosInjector(config)
+        corrupted, frames = store_stream(first), frame_stream(first)
+        # The second injector draws its sites in the opposite order.
+        assert frames == frame_stream(second) and corrupted == store_stream(second)
+        store_rng, fleet_rng = random.Random(42), random.Random(42 ^ 0xF1EE7)
+        assert corrupted == [h for h in hashes if store_rng.random() < 0.3]
+        assert frames == [fleet_rng.random() < 0.3 for _ in hashes]
+        assert 0 < len(corrupted) < len(hashes) and any(frames) and not all(frames)
+        assert first.stats() == {
+            "injected_corruptions": len(corrupted),
+            "injected_shard_kills": 0,
+            "injected_frame_corruptions": sum(frames),
+            "scheduled_kills_remaining": 0,
+        }
+
+    def test_kills_are_scheduled_mid_trace(self):
+        injector = ChaosInjector(ChaosConfig(kills=3), trace_len=400)
+        assert injector.kill_at == {100, 200, 300}
+        assert ChaosInjector(ChaosConfig(kills=3)).kill_at == set()
 
     def test_from_env_requires_the_flag(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
+        monkeypatch.delenv("REPRO_CHAOS_CORRUPT_ENTRY", raising=False)
         assert ChaosInjector.from_env() is None
         monkeypatch.setenv("REPRO_CHAOS", "1")
-        monkeypatch.setenv("REPRO_CHAOS_TRANSIENT", "0.5")
+        assert ChaosInjector.from_env().config == ChaosConfig(
+            corrupt_entry=ChaosConfig.preset().corrupt_entry
+        )
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "7")
+        monkeypatch.setenv("REPRO_CHAOS_CORRUPT_ENTRY", "0.5")
         injector = ChaosInjector.from_env()
-        assert injector is not None
-        assert injector.config.transient == 0.5
+        assert injector.config == ChaosConfig(seed=7, corrupt_entry=0.5)
 
     def test_corrupt_entry_injection_exercises_quarantine_and_recompute(
         self, tmp_path
@@ -496,18 +422,15 @@ class TestChaos:
         trace = generate_trace(num_requests=40, duplicate_fraction=0.5,
                                families=2, seed=3)
         clean_results, _, _, _ = replay_coalesced(trace, window=16)
-        chaos = ChaosInjector(ChaosConfig(
-            seed=1, transient=0.25, corrupt_entry=0.3,
-            slow_dispatch=0.1, slow_dispatch_s=0.001,
-        ))
+        chaos = ChaosInjector(ChaosConfig(seed=1, corrupt_entry=0.3))
         store = ResultStore(directory=tmp_path)
         chaos_results, _, scheduler, _ = replay_coalesced(
             trace, window=16, store=store, chaos=chaos,
         )
         assert chaos_results == clean_results
         assert scheduler.stats.errors == 0
-        injected = chaos.stats()
-        assert injected["injected_transients"] > 0
+        assert chaos.stats()["injected_corruptions"] > 0
+        assert store.corrupt_entries > 0
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +440,6 @@ class TestChaos:
 #: a single process or a fleet serves it.
 FAULT_ANSWERS = [
     (QueueFullError("queue full", retry_after_s=3.0), 429, "3"),
-    (CircuitOpenError("family short-circuited", retry_after_s=2.5), 503, "3"),
     (FleetDegradedError("below quorum", retry_after_s=5.0), 503, "5"),
     (ShutdownError("scheduler is shut down"), 503, None),
     (RingEmptyError("no shard is serving"), 503, None),
@@ -526,8 +448,8 @@ FAULT_ANSWERS = [
     (RuntimeError("evaluation blew up"), 500, None),
 ]
 
-FAILURE_COUNTERS = ("retries", "fallbacks", "scalar_fallbacks", "deadline_expired",
-                    "queue_sheds", "breaker_trips", "breaker_short_circuits")
+FAILURE_COUNTERS = ("errors", "fallbacks", "scalar_fallbacks", "deadline_expired",
+                    "queue_sheds")
 
 
 def _refuse(error):
@@ -716,7 +638,6 @@ class TestHTTPFaultMapping:
         health = self._healthz(served)
         for counter in FAILURE_COUNTERS:
             assert counter in health["scheduler"]
-        assert "breakers" in health
         assert "corrupt_entries" in health["store"]
 
 
@@ -742,5 +663,5 @@ class TestFleetHTTPFaultMapping(TestHTTPFaultMapping):
         health = self._healthz(served)
         for counter in FAILURE_COUNTERS:
             assert counter in health["scheduler"]
-        assert all("breakers" in shard for shard in health["shards"].values())
+        assert all("scheduler" in shard for shard in health["shards"].values())
         assert "corrupt_entries" in health["store"]

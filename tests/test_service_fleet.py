@@ -426,16 +426,13 @@ class TestBatchedSubmission:
     def test_hints_that_would_loosen_an_inflight_op_do_not_attach(self, fleet):
         plain = _request(5)
         with_deadline = EvaluationRequest.from_dict(plain.to_dict() | {"deadline_ms": 60000})
-        more_retries = EvaluationRequest.from_dict(plain.to_dict() | {"max_retries": 5})
         frames = _count_op_frames(fleet)
-        outcomes = fleet.submit_many([plain, with_deadline, more_retries, plain])
+        outcomes = fleet.submit_many([plain, with_deadline, plain])
         [sent] = [members for sent in frames.values() for members in sent]
-        assert len(sent) == 3
-        assert [member.get("hints", {}) for member in sent] == [
-            {}, {"deadline_ms": 60000.0}, {"max_retries": 5},
-        ]
-        assert outcomes[3] is outcomes[0]
-        assert outcomes[1] is not outcomes[0] and outcomes[2] is not outcomes[0]
+        assert len(sent) == 2
+        assert [member.get("hints", {}) for member in sent] == [{}, {"deadline_ms": 60000.0}]
+        assert outcomes[2] is outcomes[0]
+        assert outcomes[1] is not outcomes[0]
         assert fleet.coalesced == 1
         expected = evaluate_scalar(plain)
         assert all(future.result(timeout=180) == expected for future in outcomes)

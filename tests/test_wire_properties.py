@@ -22,12 +22,7 @@ import json
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.service.requests import (
-    MACRO_REGISTRY,
-    MAX_RETRIES_LIMIT,
-    EvaluationRequest,
-    ServiceError,
-)
+from repro.service.requests import MACRO_REGISTRY, EvaluationRequest, ServiceError
 from repro.service.shard.protocol import (
     HEADER,
     HEARTBEAT_ID,
@@ -54,7 +49,6 @@ _json = st.recursive(
 )
 _hints = st.fixed_dictionaries({}, optional={
     "deadline_ms": st.floats(min_value=0.1, max_value=1e6),
-    "max_retries": st.integers(min_value=0, max_value=MAX_RETRIES_LIMIT),
 })
 
 
