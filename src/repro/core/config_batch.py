@@ -74,6 +74,7 @@ from repro.core.terms import (
     TermSpec,
     area_term_cache_key,
     energy_term_cache_key,
+    layer_term_context,
 )
 from repro.devices.nvmexplorer import CellLibrary, default_cell_library
 from repro.devices.technology import REFERENCE_NODE, scale_energy
@@ -580,10 +581,11 @@ def derive_config_batch(
         )
 
     fingerprint = layer.fingerprint() if use_distributions else None
+    layer_context = layer_term_context(fingerprint) if use_distributions else None
     spec_keys = _family_term_keys(
         configs,
         ENERGY_TERMS,
-        lambda spec, sub: energy_term_cache_key(spec, sub, use_distributions, fingerprint),
+        lambda spec, sub: energy_term_cache_key(spec, sub, layer_context),
     )
 
     def derive_columns(rep_rows: List[int]) -> Dict[str, np.ndarray]:

@@ -47,7 +47,11 @@ reads instead of the full frozen config — is cached by the
 :class:`~repro.core.terms.TermCache` attached to the process cache
 (``terms``) and persisted as ``energy-*.json`` files in the same disk
 directory (term keys start with ``term|``/``areaterm|``, so the two
-entry kinds can never collide).
+entry kinds can never collide).  An energy term key reads
+``term|v2|<term>|<context>|<sub-tuple repr>``: the context is ``pure``
+for entries shared across layers and modes, or ``dist|`` plus a 128-bit
+digest of the layer fingerprint, rendered once per family derivation,
+so a key stays short however large the fingerprint.
 A cold *full-config* miss in every tier then rarely pays full price:
 :meth:`PerActionEnergyCache.derive_many` hands the term cache to the
 config-axis deriver, which re-derives only the terms the new configs

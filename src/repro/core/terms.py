@@ -25,6 +25,15 @@ inputs.  This module factors the derivation around that independence:
   ``(configs, actions)`` table from cached terms and derives only the
   terms its perturbed axis actually changed.
 
+Cache keys are strings, stable across processes (no ``hash()`` or
+``id()``): an energy term entry is
+``term|v2|<term>|<context>|<sub-tuple repr>``, where the context is
+``pure`` for entries shared across layers and modes, or ``dist|`` plus a
+128-bit digest of the layer fingerprint for statistic-consuming terms
+(:func:`energy_term_cache_key`); an area term entry is
+``areaterm|v1|<term>|<sub-tuple repr>``.  A key's length therefore does
+not grow with the layer's fingerprint.
+
 Caching contract: like the full-table tiers, term entries assume the
 default cell library and default-profiled distributions; the deriver only
 engages the cache under that contract (custom libraries bypass it).
@@ -32,6 +41,7 @@ engages the cache under that contract (custom libraries bypass it).
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -299,26 +309,39 @@ AREA_TERMS: Tuple[TermSpec, ...] = (
 # ----------------------------------------------------------------------
 # Canonical term-cache keys
 # ----------------------------------------------------------------------
+def layer_term_context(fingerprint: tuple) -> str:
+    """The layer part of a statistic-consuming energy term key.
+
+    ``dist|`` plus the first 128 bits (32 hex digits) of the SHA-256 of
+    the layer fingerprint's repr: distinct fingerprints get distinct
+    contexts (barring a 128-bit collision), stable across processes and
+    runs, at a fixed length however large the fingerprint grows.
+    Rendered once per family derivation, not once per key.
+    """
+    digest = hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()
+    return f"dist|{digest[:32]}"
+
+
 def energy_term_cache_key(
     spec: TermSpec,
     key: tuple,
-    use_distributions: bool,
-    fingerprint: tuple,
+    layer_context: Optional[str],
 ) -> str:
     """Deterministic string identity of one energy term entry.
 
-    Terms that consume no operand statistics — and every term in nominal
-    (fixed-energy) mode, where statistics are constants — are pure
-    functions of the config sub-tuple: their entries carry the ``pure``
-    context and are shared across layers *and* modes.  Statistic-consuming
-    terms under profiled distributions embed the layer fingerprint, so two
-    layers can never trade statistics-dependent terms.
+    ``term|v2|<term>|<context>|<sub-tuple repr>``.  Terms that consume no
+    operand statistics — and every term in nominal (fixed-energy) mode,
+    where statistics are constants and ``layer_context`` is None — are
+    pure functions of the config sub-tuple: their entries carry the
+    ``pure`` context and are shared across layers *and* modes.
+    Statistic-consuming terms under profiled distributions carry
+    ``layer_context`` (:func:`layer_term_context` of the layer's
+    fingerprint), so two layers can never trade statistics-dependent
+    terms.  The version tag keeps these keys apart from ``v1`` keys,
+    which embedded the whole fingerprint repr, in a shared disk tier.
     """
-    if spec.roles and use_distributions:
-        context = f"dist|{fingerprint!r}"
-    else:
-        context = "pure"
-    return f"term|v1|{spec.name}|{context}|{key!r}"
+    context = layer_context if spec.roles and layer_context else "pure"
+    return f"term|v2|{spec.name}|{context}|{key!r}"
 
 
 def area_term_cache_key(spec: TermSpec, key: tuple) -> str:

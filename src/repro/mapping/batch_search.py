@@ -29,6 +29,19 @@ cost accumulates in the same level order with the same weights as
 :func:`~repro.mapping.mapper.default_cost` — equal seeds therefore return
 the identical best mapping and bitwise-equal best cost.
 
+Draw order
+----------
+A population is a pure function of its map space, count and seed, and
+the tests pin it bitwise, so the order in which the generator consumes
+its random stream is a contract.  Per chunk: every dimension's divisor
+chain and within-row shuffle, in dimension order; then each spatial
+level's joint sub-split, where a rejection round is *one*
+``rng.integers`` call over ``(dims, unresolved rows)`` bounds.  NumPy
+fills an array of bounds element by element in C order from the bit
+generator's 32-bit stream, so that call draws exactly what one call per
+dimension would.  A faster sampler must keep this stream, or every
+seeded search result changes.
+
 Cost functions
 --------------
 Two batched objectives are available:
@@ -110,10 +123,10 @@ def _divisor_tables(extent: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     one of ``values``, so the chain can be advanced for a whole batch with
     two table gathers per position.
 
-    Memoized per extent (callers only read the arrays): the joint
-    spatial sub-split sampler consults these tables once per (dimension,
-    rejection round), so rebuilding them per call would dominate
-    population generation.
+    Memoized per extent (callers only read the arrays): the split and
+    sub-split samplers consult these tables once per dimension for every
+    chunk, so rebuilding them per call would dominate population
+    generation.
     """
     values = np.asarray(divisors(extent), dtype=np.int64)
     per_value = [divisors(int(v)) for v in values]
@@ -183,6 +196,39 @@ def _sample_bounded_divisors(
 _SPATIAL_JOINT_ROUNDS = 16
 
 
+@functools.lru_cache(maxsize=256)
+def _joint_subsplit_table(
+    extents: Tuple[int, ...], limit: int
+) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
+    """Every dimension's divisor rows stacked, with their counts <= ``limit``.
+
+    Returns ``(offsets, table, allowed)``: the rows of dimension ``d``'s
+    :func:`_divisor_tables` table start at ``offsets[d]`` of ``table``
+    (zero-padded to a common width), and ``allowed[r]`` counts the
+    divisors of row ``r`` that are <= ``limit`` — a prefix of the row,
+    since rows are sorted ascending.  The count is the same in every
+    rejection round, so it is computed here once per ``(extents, limit)``
+    rather than per round.  The arrays are shared: callers only read them.
+    """
+    per_dim = [_divisor_tables(extent) for extent in extents]
+    offsets = []
+    start = 0
+    for values, _, _ in per_dim:
+        offsets.append(start)
+        start += len(values)
+    width = max(table.shape[1] for _, _, table in per_dim)
+    table = np.zeros((start, width), dtype=np.int64)
+    allowed = np.empty(start, dtype=np.int64)
+    for offset, (values, ndiv, dim_table) in zip(offsets, per_dim):
+        block = slice(offset, offset + len(values))
+        table[block, : dim_table.shape[1]] = dim_table
+        in_row = np.arange(dim_table.shape[1])[None, :] < ndiv[:, None]
+        allowed[block] = (in_row & (dim_table <= limit)).sum(axis=1)
+    table.setflags(write=False)
+    allowed.setflags(write=False)
+    return tuple(offsets), table, allowed
+
+
 def _sample_joint_subsplit(
     extents: Tuple[int, ...],
     factors: np.ndarray,
@@ -204,6 +250,16 @@ def _sample_joint_subsplit(
     shrinking per-row cap, so earlier dimensions systematically grabbed
     the fanout budget first; the rejection form removes that bias.
 
+    Draw order (a contract: populations are pinned bitwise by it): each
+    rejection round makes one ``rng.integers`` call whose bounds are laid
+    out dimension-major, ``(dims, unresolved rows)``.  Given an array of
+    bounds, NumPy draws every element in C order from the bit generator's
+    own 32-bit stream (a bound of 1 draws nothing), so the round consumes
+    exactly the draws — and yields exactly the choices — of one
+    ``rng.integers`` call per dimension over the unresolved rows, in
+    dimension order.  The per-row bounds come from
+    :func:`_joint_subsplit_table`.
+
     Rows still unresolved after :data:`_SPATIAL_JOINT_ROUNDS` rounds
     (possible for many-dimensional levels with tight limits, where the
     joint acceptance rate is low) fall back to the shrinking-cap greedy
@@ -212,19 +268,22 @@ def _sample_joint_subsplit(
     residual unbiased across dimensions in expectation.
     """
     rows, dims = factors.shape
+    offsets, table, allowed_of = _joint_subsplit_table(extents, limit)
+    # Stacked table row of every (dimension, row) factor, dimension-major.
+    row_index = np.empty((dims, rows), dtype=np.int64)
+    for d in range(dims):
+        values = _divisor_tables(extents[d])[0]
+        row_index[d] = np.searchsorted(values, factors[:, d]) + offsets[d]
+    allowed = allowed_of[row_index]
     chosen = np.ones_like(factors)
-    cap = np.full(rows, limit, dtype=np.int64)
     unresolved = np.arange(rows)
     for _ in range(_SPATIAL_JOINT_ROUNDS):
         if unresolved.size == 0:
             break
-        draw = np.empty((unresolved.size, dims), dtype=np.int64)
-        for d in range(dims):
-            draw[:, d] = _sample_bounded_divisors(
-                extents[d], factors[unresolved, d], cap[: unresolved.size], rng
-            )
-        accepted = np.prod(draw, axis=1) <= limit
-        chosen[unresolved[accepted]] = draw[accepted]
+        choice = rng.integers(0, allowed[:, unresolved])
+        draw = table[row_index[:, unresolved], choice]
+        accepted = np.prod(draw, axis=0) <= limit
+        chosen[unresolved[accepted]] = draw[:, accepted].T
         unresolved = unresolved[~accepted]
     if unresolved.size:
         fallback = np.ones((unresolved.size, dims), dtype=np.int64)

@@ -14,7 +14,10 @@ schema is *versioned* and *canonically hashable*:
 * :meth:`EvaluationRequest.canonical_json` re-serialises the request with
   sorted keys, no whitespace, and all defaults materialised, so two
   requests that differ only in key order, whitespace, or omitted-default
-  fields produce byte-identical canonical forms.
+  fields produce byte-identical canonical forms.  A matrix-vector
+  workload name is respelled when the request is built (``mvm_032x32``
+  and ``mvm_32x32_x1`` become ``mvm_32x32``), so the spellings of one
+  workload share one form.
 * :meth:`EvaluationRequest.content_hash` is the SHA-256 of that canonical
   form — the identity used by the result store (content addressing), the
   scheduler (in-flight coalescing), and the ``GET /result/<hash>`` route.
@@ -31,8 +34,9 @@ the miss, so a config the model rejects (``rows: -1``, an
 workload name, or a malformed inline layer surfaces at submission as a
 :class:`ServiceError`: still a synchronous 400, or an inline envelope in
 a batch, never a dispatch-time failure.  A store hit is never resolved:
-only valid requests are ever stored, and ``version`` is part of the
-canonical form.
+only valid requests are ever stored, ``version`` is part of the
+canonical form, and the result store's disk entries carry their own
+format version, which keeps out entries of builds that checked less.
 
 :meth:`family_key` is the grouping identity the coalescing scheduler
 batches by — requests in one family share a workload and an objective
@@ -59,7 +63,7 @@ from repro.macros.definitions import (
 )
 from repro.utils.errors import CiMLoopError, ValidationError, WorkloadError
 from repro.workloads.layer import ActivationStyle, Layer, conv2d_layer, matmul_layer
-from repro.workloads.networks import Network, load_network
+from repro.workloads.networks import Network, canonical_mvm_name, load_network
 
 #: Schema version accepted by this build of the service.
 REQUEST_VERSION = 1
@@ -147,7 +151,8 @@ class EvaluationRequest:
         Name of a registered workload (``resnet18``, ``mvm_64x64``, ...)
         or a parameterised pattern such as
         ``conv_<h>x<w>x<c>[_k<kernel>][_f<filters>]`` — anything
-        :func:`repro.workloads.networks.load_network` resolves.  Exactly
+        :func:`repro.workloads.networks.load_network` resolves; an
+        ``mvm_`` name is respelled canonically on construction.  Exactly
         one of ``workload`` / ``layer`` must be given, except for the
         ``area`` objective (a pure function of the config).
     layer:
@@ -213,6 +218,9 @@ class EvaluationRequest:
                 )
         if self.workload and self.layer:
             raise ServiceError("give either a workload name or an inline layer, not both")
+        workload = self.workload
+        if isinstance(workload, str) and workload.startswith("mvm_"):
+            object.__setattr__(self, "workload", canonical_mvm_name(workload))
         if self.objective != "area" and not (bool(self.workload) or self.layer is not None):
             raise ServiceError(f"objective {self.objective!r} needs a workload or inline layer")
         if self.layer is not None:

@@ -58,7 +58,13 @@ DEFAULT_MAX_ENTRIES = 4096
 class ResultStore:
     """In-memory LRU + optional disk tier of evaluation results."""
 
-    VERSION = 1
+    #: Disk entry format version; an entry of another version is a miss
+    #: (counted in ``load_failures``).  Version 2 entries are written only
+    #: by builds that resolve every miss before storing it; a version 1
+    #: entry may hold the result of a request this build refuses at
+    #: submission (``mvm_32x32_x0``, a non-integral ``rows``), and a hit
+    #: is never resolved, so such an entry must not be served.
+    VERSION = 2
 
     def __init__(
         self,

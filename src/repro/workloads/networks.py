@@ -11,6 +11,8 @@ a network is not required, but the shapes below are the standard ones.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Tuple
 
@@ -305,9 +307,34 @@ _NETWORKS: Dict[str, Callable[[], Network]] = {
 }
 
 
+#: ``mvm_<rows>x<cols>[_x<repeats>]``: the matrix-vector workload names.
+_MVM_NAME = re.compile(r"mvm_(\d+)x(\d+)(?:_x(\d+))?")
+
+
 def list_networks() -> List[str]:
     """Names of the built-in networks."""
     return sorted(_NETWORKS)
+
+
+@functools.lru_cache(maxsize=1024)
+def canonical_mvm_name(name: str) -> str:
+    """One spelling per matrix-vector workload.
+
+    ``mvm_032x32``, ``mvm_32x32_x1`` and ``mvm_32x32`` load one network,
+    so they are respelled with decimal numbers without leading zeros, as
+    :func:`matrix_vector_workload` names the network, and with the
+    ``_x<repeats>`` suffix only when it is not 1 (``_x0`` stays, and
+    fails to load).  Other names are returned unchanged.  Memoised: the
+    evaluation service respells every request naming an MVM workload,
+    store hits included.
+    """
+    match = _MVM_NAME.fullmatch(name)
+    if match is None:
+        return name
+    rows, cols, repeats = match.groups()
+    spelled = f"mvm_{int(rows)}x{int(cols)}"
+    repeats = int(repeats) if repeats else 1
+    return spelled if repeats == 1 else f"{spelled}_x{repeats}"
 
 
 def load_network(name: str) -> Network:
@@ -326,9 +353,7 @@ def load_network(name: str) -> Network:
     try:
         factory = _NETWORKS[name]
     except KeyError:
-        import re
-
-        match = re.fullmatch(r"mvm_(\d+)x(\d+)(?:_x(\d+))?", name)
+        match = _MVM_NAME.fullmatch(name)
         if match:
             rows, cols, repeats = (int(g) if g else 1 for g in match.groups())
             return matrix_vector_workload(rows, cols, repeats=repeats)

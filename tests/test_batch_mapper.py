@@ -7,6 +7,8 @@ regimes, and seeds, and check the batched analysis term by term against
 :func:`analyze_mapping`.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,13 @@ from repro.mapping import (
     generate_mapping_population,
     search_mappings,
 )
+from repro.mapping.batch_search import (
+    _SPATIAL_JOINT_ROUNDS,
+    _sample_bounded_divisors,
+    _sample_joint_subsplit,
+)
 from repro.mapping.mapper import _respects_constraints, default_cost
+from repro.mapping.tiling import divisors
 from repro.utils.errors import MappingError
 from repro.workloads.einsum import ALL_TENSORS, conv2d_einsum, matmul_einsum
 
@@ -317,3 +325,112 @@ def test_equivalence_property(m, k, n, seed):
     batched = batch_search(space, num_mappings=25, seed=seed)
     assert batched.best_mapping == scalar.best_mapping
     assert batched.best_cost == scalar.best_cost
+
+
+# ----------------------------------------------------------------------
+# The sampler's random stream
+# ----------------------------------------------------------------------
+def _reference_joint_subsplit(extents, factors, limit, rng):
+    """The joint sub-split with one ``rng.integers`` call per dimension
+    and rejection round: the draw order the batched sampler must keep."""
+    rows, dims = factors.shape
+    chosen = np.ones_like(factors)
+    cap = np.full(rows, limit, dtype=np.int64)
+    unresolved = np.arange(rows)
+    for _ in range(_SPATIAL_JOINT_ROUNDS):
+        if unresolved.size == 0:
+            break
+        draw = np.empty((unresolved.size, dims), dtype=np.int64)
+        for d in range(dims):
+            draw[:, d] = _sample_bounded_divisors(
+                extents[d], factors[unresolved, d], cap[: unresolved.size], rng
+            )
+        accepted = np.prod(draw, axis=1) <= limit
+        chosen[unresolved[accepted]] = draw[accepted]
+        unresolved = unresolved[~accepted]
+    if unresolved.size:
+        fallback = np.ones((unresolved.size, dims), dtype=np.int64)
+        remaining_cap = np.full(unresolved.size, limit, dtype=np.int64)
+        for d in rng.permutation(dims):
+            part = _sample_bounded_divisors(
+                extents[d], factors[unresolved, d], remaining_cap, rng
+            )
+            fallback[:, d] = part
+            remaining_cap //= part
+        chosen[unresolved] = fallback
+    return chosen
+
+
+#: Extents for the sampler property: 1, primes, prime powers, and
+#: composites with many divisors.
+_EXTENTS = (1, 2, 3, 4, 7, 12, 16, 31, 60, 64, 97, 128, 210, 256, 720, 1024)
+
+
+@given(
+    extents=st.lists(st.sampled_from(_EXTENTS), min_size=1, max_size=7),
+    rows=st.integers(min_value=0, max_value=300),
+    limit=st.integers(min_value=1, max_value=100),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_joint_subsplit_keeps_the_per_dimension_stream(extents, rows, limit, seed):
+    """One bounds array per rejection round draws exactly what one call per
+    dimension drew: equal sub-splits, and the generator left in an equal
+    state (including its buffered 32-bit half-word), so everything drawn
+    after the sub-split is unchanged too.  Seven dimensions with tight
+    limits send many rows through the greedy fallback."""
+    extents = tuple(extents)
+    picker = np.random.default_rng(seed ^ 0x5EED)
+    factors = np.empty((rows, len(extents)), dtype=np.int64)
+    for d, extent in enumerate(extents):
+        factors[:, d] = picker.choice(divisors(extent), size=rows)
+    reference_rng = np.random.default_rng(seed)
+    batched_rng = np.random.default_rng(seed)
+    expected = _reference_joint_subsplit(extents, factors, limit, reference_rng)
+    got = _sample_joint_subsplit(extents, factors, limit, batched_rng)
+    assert np.array_equal(got, expected)
+    assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def _population_digest(space, seeds, count=2000):
+    digest = hashlib.sha256()
+    for seed in seeds:
+        population = generate_mapping_population(space, count, seed=seed)
+        digest.update(np.ascontiguousarray(population.factors, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(population.spatial, dtype="<i8").tobytes())
+        digest.update(str(population.attempted).encode())
+    return digest.hexdigest()
+
+
+#: sha256 over seeds 0-2 of 2000-mapping populations (factors, spatial
+#: parts, attempted count) of the sweep's map spaces: ``conv_16x16x64`` on
+#: ``base_macro`` at the array fanout limits the sweep produces.
+CONV_SWEEP_DIGESTS = {
+    32: "945b6562ccd55e52f45eff2501a6a94e344cb01f2fac94f9a01bfa3a4d11cb56",
+    42: "8429e6acefa3b486b6471445ca0f1802ea63cde869e1b0ac2497e7dce53bd629",
+    64: "8d28eafa89141c83b0e1e1803ed59d95d81c37654711c39a5d954484e62cfa21",
+}
+
+#: The same digest for the fig. 12 map space with a fanout budget of 8.
+FIG12_DIGEST = "3f3c95aaf26fa0646b0213409de4c5cd42b13c66d6a1facd97b5983ee9309ffb"
+
+
+class TestGoldenPopulations:
+    """Seeded populations are pinned bitwise: a faster sampler that drew in
+    another order would change every seeded search result."""
+
+    @pytest.mark.parametrize("limit", sorted(CONV_SWEEP_DIGESTS))
+    def test_sweep_map_spaces(self, limit):
+        from repro.core.model import CiMLoopModel
+        from repro.macros.definitions import base_macro
+        from repro.workloads.networks import load_network
+
+        layer = load_network("conv_16x16x64").layers[0]
+        space = CiMLoopModel(base_macro()).layer_mapspace(layer, spatial_fanout=limit)
+        assert _population_digest(space, (0, 1, 2)) == CONV_SWEEP_DIGESTS[limit]
+
+    def test_fig12_map_space(self):
+        from repro.experiments.fig12 import fig12_mapping_setup
+
+        _, _, space = fig12_mapping_setup(1, spatial_fanout=8)
+        assert _population_digest(space, (0, 1, 2)) == FIG12_DIGEST

@@ -153,6 +153,7 @@ class TestRequestHashing:
          "bits_per_cell must be an integer"),
         ({"workload": "mvm_32x32", "overrides": {"rows": 1.5}}, "rows must be an integer"),
         ({"workload": "mvm_32x32_x0"}, "at least one repeat"),
+        ({"workload": "mvm_032x32_x00"}, "at least one repeat"),
     ])
     def test_resolution_errors_surface_at_submit(self, payload, message):
         """Building a request checks its syntax and hashes it; the config
@@ -168,6 +169,29 @@ class TestRequestHashing:
         assert isinstance(refusal, ServiceError) and re.search(message, str(refusal))
         assert error_status(refusal) == 400
         assert scheduler.stats.dispatched_requests == 0 and not scheduler._pending
+
+    def test_spellings_of_one_mvm_workload_share_one_hash(self):
+        """``load_network`` resolves these names to one network, so the
+        request respells them when it is built: one canonical form, one
+        hash, one family and one dispatch."""
+        spellings = ("mvm_32x32", "mvm_32x32_x1", "mvm_032x32")
+        requests = [EvaluationRequest.from_dict({"workload": name}) for name in spellings]
+        assert {request.workload for request in requests} == {"mvm_32x32"}
+        assert len({request.canonical_json() for request in requests}) == 1
+        assert len({request.content_hash() for request in requests}) == 1
+        assert len({request.family_key() for request in requests}) == 1
+        scheduler = EvaluationScheduler(store=ResultStore())
+        first, second, third = scheduler.evaluate_batch(requests)
+        assert first == second == third
+        assert scheduler.stats.dispatched_requests == 1
+        repeated = EvaluationRequest.from_dict({"workload": "mvm_32x32_x2"})
+        assert repeated.workload == "mvm_32x32_x2"
+        assert repeated.content_hash() != requests[0].content_hash()
+        # Names already spelled canonically (the benchmark's among them)
+        # are left alone, so their hashes do not move.
+        for name in ("mvm_64x64", "mvm_96x96", "mvm_64x128", "mvm_128x128",
+                     "mvm_64x256", "conv_16x16x64", "resnet18", "mvm_abc"):
+            assert EvaluationRequest.from_dict({"workload": name}).workload == name
 
     def test_family_keys_group_by_workload_and_objective(self):
         same_family = {
@@ -218,6 +242,30 @@ class TestResultStore:
         fresh = ResultStore(directory=tmp_path)
         assert fresh.get("h1") is None
         assert fresh.load_failures == 1
+
+    def test_an_entry_from_before_the_submission_checks_is_not_served(self, tmp_path):
+        """A version-1 disk entry can hold the result of a request this
+        build refuses (older builds clamped ``_x0`` to one repeat and
+        stored the result), and a hit is never resolved: the entry format
+        version keeps it out, so it is a counted miss and the request gets
+        its 400.  An entry this build wrote is still a disk hit."""
+        stale = EvaluationRequest.from_dict({"workload": "mvm_32x32_x0"})
+        old_numbers = EvaluationScheduler(store=ResultStore()).evaluate(_request())
+        ResultStore(directory=tmp_path).path_for(stale.content_hash()).write_text(
+            json.dumps({"version": 1, "key": stale.content_hash(), "result": old_numbers})
+        )
+        scheduler = EvaluationScheduler(store=ResultStore(directory=tmp_path))
+        [outcome] = scheduler.submit_many([stale])
+        assert isinstance(outcome, ServiceError), outcome
+        assert "at least one repeat" in str(outcome) and error_status(outcome) == 400
+        assert scheduler.store.load_failures == 1 and scheduler.store.disk_hits == 0
+
+        valid = _request()
+        EvaluationScheduler(store=ResultStore(directory=tmp_path)).evaluate(valid)
+        warm = EvaluationScheduler(store=ResultStore(directory=tmp_path))
+        [future] = warm.submit_many([valid])
+        assert future.result(timeout=30) == old_numbers
+        assert warm.store.disk_hits == 1 and warm.stats.dispatched_requests == 0
 
     def test_disk_entry_key_is_verified(self, tmp_path):
         store = ResultStore(directory=tmp_path)

@@ -25,19 +25,33 @@ without a key change (a stale-cache-entry bug); an over-declared field
 surfaces as a key change without any energy change on any macro (a
 cache-fragmentation smell, asserted structurally for the fields known to
 be derivation-irrelevant).
+
+:class:`TestTermCacheKeys` checks the key strings themselves: stable
+across processes, of bounded length, split by layer exactly where a term
+consumes the layer's statistics, served back through the disk tier, and
+never changing a derived matrix.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.architecture.macro import CiMMacro, CiMMacroConfig, OutputReuseStyle
 from repro.circuits.dac import DACType
-from repro.core.config_batch import AREA_COMPONENTS, DERIVED_ACTIONS
+from repro.core.config_batch import AREA_COMPONENTS, DERIVED_ACTIONS, derive_config_batch
+from repro.core.fast_pipeline import DiskEnergyCache
 from repro.core.terms import (
     ACTION_TERMS,
     AREA_TERMS,
     ENERGY_TERMS,
+    TermCache,
+    energy_term_cache_key,
+    layer_term_context,
     term_key,
 )
 from repro.macros.definitions import (
@@ -49,6 +63,7 @@ from repro.macros.definitions import (
     macro_d,
 )
 from repro.workloads.distributions import profile_layer
+from repro.workloads.layer import ActivationStyle, conv2d_layer, matmul_layer
 from repro.workloads.networks import matrix_vector_workload
 
 #: Every published macro of the paper's Table III plus the digital CiM.
@@ -282,3 +297,175 @@ class TestScalarPerturbation:
             assert CiMMacro(perturbed).area_breakdown_um2() == areas
             for spec in ENERGY_TERMS + AREA_TERMS:
                 assert term_key(spec, perturbed) == term_key(spec, config)
+
+
+# ----------------------------------------------------------------------
+# Canonical cache keys
+# ----------------------------------------------------------------------
+#: Renders every energy term key of one config on one layer, in both
+#: modes; run in this process and in a fresh interpreter.
+KEY_PROBE = """
+from repro.core.terms import ENERGY_TERMS, energy_term_cache_key, layer_term_context, term_key
+from repro.macros.definitions import macro_b
+from repro.workloads.networks import matrix_vector_workload
+
+layer = matrix_vector_workload(64, 64, repeats=4).layers[0]
+config = macro_b()
+keys = [
+    energy_term_cache_key(spec, term_key(spec, config), context)
+    for context in (layer_term_context(layer.fingerprint()), None)
+    for spec in ENERGY_TERMS
+]
+"""
+
+
+def _probe_keys():
+    namespace = {}
+    exec(KEY_PROBE, namespace)
+    return namespace["keys"]
+
+
+def _distinct_layers():
+    """Layers whose fingerprints differ, each in one respect."""
+    base = matrix_vector_workload(64, 64, repeats=4).layers[0]
+    return {
+        "base": base,
+        "same_name_other_shape": matrix_vector_workload(64, 64, repeats=8).layers[0],
+        "other_geometry": matrix_vector_workload(64, 128, repeats=4).layers[0],
+        "input_bits": base.with_bits(input_bits=4),
+        "weight_bits": base.with_bits(weight_bits=4),
+        "activation_style": dataclasses.replace(
+            base, activation_style=ActivationStyle.TRANSFORMER_DENSE_SIGNED
+        ),
+        "weight_sparsity": dataclasses.replace(base, weight_sparsity=0.5),
+        "conv": conv2d_layer("conv", 16, 32, 8, 8, 3),
+    }
+
+
+def _family():
+    """A sweep-like family: several axes, repeated sub-tuples."""
+    return [
+        base_macro(rows=32, cols=32).with_updates(
+            adc_resolution=adc, columns_per_adc=columns, input_bits=bits
+        )
+        for adc in (4, 6)
+        for columns in (1, 2)
+        for bits in (4, 8)
+    ]
+
+
+class TestTermCacheKeys:
+    """``term|v2|`` keys: stable strings of bounded length, split by layer
+    exactly where a term consumes the layer's statistics."""
+
+    def test_keys_are_stable_across_calls_and_processes(self):
+        keys = _probe_keys()
+        assert _probe_keys() == keys
+        assert all(key.startswith("term|v2|") for key in keys)
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONHASHSEED"] = "12345"  # a hash()- or id()-based key would move
+        probe = subprocess.run(
+            [sys.executable, "-c", "import json\n" + KEY_PROBE + "print(json.dumps(keys))\n"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(probe.stdout) == keys
+
+    def test_different_fingerprints_never_share_a_statistic_key(self):
+        layers = _distinct_layers()
+        contexts = {layer_term_context(layer.fingerprint()) for layer in layers.values()}
+        assert len(contexts) == len(layers)
+        config = base_macro()
+        for spec in ENERGY_TERMS:
+            if not spec.roles:
+                continue
+            sub = term_key(spec, config)
+            keys = {energy_term_cache_key(spec, sub, context) for context in contexts}
+            assert len(keys) == len(layers), spec.name
+        # Through one shared cache, every layer still gets its own numbers.
+        cache = TermCache()
+        configs = _family()
+        for layer in layers.values():
+            shared = derive_config_batch(configs, layer, term_cache=cache)
+            alone = derive_config_batch(configs, layer, term_cache=None)
+            assert shared.energies.tobytes() == alone.energies.tobytes()
+
+    def test_pure_keys_are_shared_across_layers_and_modes(self):
+        layers = _distinct_layers()
+        contexts = [None] + [
+            layer_term_context(layer.fingerprint()) for layer in layers.values()
+        ]
+        config = base_macro()
+        for spec in ENERGY_TERMS:
+            sub = term_key(spec, config)
+            pure = f"term|v2|{spec.name}|pure|{sub!r}"
+            keys = [energy_term_cache_key(spec, sub, context) for context in contexts]
+            assert keys[0] == pure  # nominal mode: statistics are constants
+            if not spec.roles:
+                assert set(keys) == {pure}
+        # A second layer re-derives only the statistic-consuming terms, and
+        # nominal mode on any layer re-derives nothing the first nominal
+        # family derived.
+        configs = _family()
+        first, second = layers["base"], layers["conv"]
+        cache = TermCache()
+        derive_config_batch(configs, first, term_cache=cache)
+        before = cache.derivations
+        derive_config_batch(configs, second, term_cache=cache)
+        statistic_keys = {
+            (spec.name, term_key(spec, config))
+            for spec in ENERGY_TERMS if spec.roles for config in configs
+        }
+        assert cache.derivations - before == len(statistic_keys)
+        derive_config_batch(configs, first, use_distributions=False, term_cache=cache)
+        before = cache.derivations
+        derive_config_batch(configs, second, use_distributions=False, term_cache=cache)
+        assert cache.derivations == before
+
+    def test_key_length_does_not_grow_with_the_fingerprint(self):
+        short = matmul_layer("m", m=4, k=4, n=4)
+        long = matmul_layer("m" * 4000, m=4, k=4, n=4)
+        assert len(repr(long.fingerprint())) > len(repr(short.fingerprint())) + 3900
+        short_context = layer_term_context(short.fingerprint())
+        long_context = layer_term_context(long.fingerprint())
+        assert len(short_context) == len(long_context) == len("dist|") + 32
+        assert short_context != long_context
+        config = base_macro()
+        for spec in ENERGY_TERMS:
+            sub = term_key(spec, config)
+            assert len(energy_term_cache_key(spec, sub, short_context)) == len(
+                energy_term_cache_key(spec, sub, long_context)
+            )
+
+    def test_a_stored_term_is_a_disk_hit_for_a_fresh_cache(self, tmp_path):
+        """A key rebuilt from the spec, config and layer alone finds the
+        entry a derivation wrote (whole-family disk round trips are
+        ``tests/test_energy_cache.py``'s)."""
+        layer = _distinct_layers()["base"]
+        configs = _family()
+        writer = TermCache(disk=DiskEnergyCache(tmp_path))
+        derive_config_batch(configs, layer, term_cache=writer)
+        context = layer_term_context(layer.fingerprint())
+        fresh = TermCache(disk=DiskEnergyCache(tmp_path))
+        for spec in ENERGY_TERMS:
+            key = energy_term_cache_key(spec, term_key(spec, configs[0]), context)
+            assert fresh.lookup(key) is not None, key
+        assert fresh.disk_hits == fresh.misses == len(ENERGY_TERMS)
+
+    @pytest.mark.parametrize("use_distributions", [True, False])
+    def test_matrices_are_bitwise_equal_off_cold_and_warm(self, use_distributions):
+        configs = _family()
+        cache = TermCache()
+        for layer in _distinct_layers().values():
+            off = derive_config_batch(
+                configs, layer, use_distributions=use_distributions, term_cache=None
+            )
+            cold = derive_config_batch(
+                configs, layer, use_distributions=use_distributions, term_cache=cache
+            )
+            warm = derive_config_batch(
+                configs, layer, use_distributions=use_distributions, term_cache=cache
+            )
+            assert off.energies.tobytes() == cold.energies.tobytes()
+            assert off.energies.tobytes() == warm.energies.tobytes()
