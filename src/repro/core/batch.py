@@ -65,7 +65,6 @@ from repro.architecture.macro import (
 from repro.architecture.system import SystemConfig
 from repro.core.fast_pipeline import (
     AmortizedSearchResult,
-    DiskEnergyCache,
     MappingEvaluation,
     PerActionEnergyCache,
 )
@@ -367,20 +366,12 @@ def shutdown_shared_pool() -> None:
 
 atexit.register(shutdown_shared_pool)
 
-#: Process-wide cache of per-action energies.  One derivation per
-#: (config, layer) per process; assumes default-profiled distributions
-#: (callers with custom profiles pass their own cache).  Pool workers
-#: never read it for shipped work: the parent resolves every table here
-#: and ships it in the payload.  The optional disk backing
-#: (``REPRO_ENERGY_CACHE_DIR``) shares entries across processes and runs.
-_process_disk_tier = DiskEnergyCache.from_env()
-_process_energy_cache = PerActionEnergyCache(
-    disk=_process_disk_tier,
-    # Term-granular entries ride the same disk directory as the full
-    # tables (distinct key prefixes), so one env knob configures both
-    # granularities; REPRO_TERM_CACHE=0 opts out.
-    terms=TermCache.from_env(disk=_process_disk_tier),
-)
+#: Process-wide cache of per-action energies, held in memory with its
+#: term tier.  One derivation per (config, layer) per process; assumes
+#: default-profiled distributions (callers with custom profiles pass
+#: their own cache).  Pool workers never read it for shipped work: the
+#: parent resolves every table here and ships it in the payload.
+_process_energy_cache = PerActionEnergyCache(terms=TermCache())
 
 
 def process_energy_cache() -> PerActionEnergyCache:

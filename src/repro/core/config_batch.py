@@ -483,8 +483,8 @@ def _resolve_terms(
 
     Unresolved entries are derived by running ``derive_columns`` on the
     *representative rows* — the first config row where each missing
-    sub-tuple occurs — and the fresh values are stored back through the
-    cache (and its tiers).  Returns ``{cache key: {action: value}}``
+    sub-tuple occurs — and the fresh values are stored back in the
+    cache.  Returns ``{cache key: {action: value}}``
     covering every key in ``spec_keys``.
     """
     resolved: Dict[str, Dict[str, float]] = {}
@@ -553,7 +553,7 @@ def derive_config_batch(
     and the formula battery runs only on the representative rows of the
     still-missing terms, so warm near-duplicate families assemble their
     matrices almost entirely from cached terms.  The cache contract
-    matches the full-table tiers: entries assume the default cell library
+    matches the full-table entries: entries assume the default cell library
     (a custom ``cell_library`` bypasses the cache) and default-profiled
     distributions (callers supplying genuinely non-default
     ``distributions`` must use a separate cache or none).

@@ -18,265 +18,51 @@ vectorized by :mod:`repro.core.batch`; the scalar loop survives as
 :meth:`AmortizedEvaluator.evaluate_mappings_scalar`, the reference oracle
 the batch engine is tested against.
 
-Derivation batching & cache tiers
----------------------------------
+Derivation batching & the cache
+-------------------------------
 Step 2 above — deriving the per-action energy table itself — is batched
 over the *config axis* by :mod:`repro.core.config_batch`: a family of
 configs sharing one layer resolves through
 :meth:`PerActionEnergyCache.derive_many`, which fills every missing entry
 of the grid in a few NumPy passes instead of one scalar macro walk per
 config (the scalar :meth:`CiMMacro.per_action_energies` stays as the
-tested oracle).  Around the derivation sit two cache tiers, consulted
-in order:
+tested oracle).  The cache is held in process memory, keyed by the full
+frozen config + layer fingerprint; only a miss derives.  Pool workers
+never consult it for the work they are shipped:
+:class:`~repro.core.batch.BatchRunner` resolves every table in the
+parent and sends it in the payload.
 
-1. **Process tier** — the in-memory map below, keyed by the full frozen
-   config + layer fingerprint.  Pool workers never consult it for the
-   work they are shipped: :class:`~repro.core.batch.BatchRunner` resolves
-   every table in the parent and sends it in the payload.
-2. **Disk tier** (:class:`DiskEnergyCache`, opt-in via
-   ``REPRO_ENERGY_CACHE_DIR``) — cross-process *and* cross-run reuse,
-   with LRU size/entry bounds so the store cannot grow without limit.
-
-Only a miss in both tiers derives; the result is written back through
-every enabled tier.
-
-Alongside the full-table entries, the same tiers carry **term-granular
+Alongside the full-table entries, the cache carries **term-granular
 entries** (:mod:`repro.core.terms`): each component term — one circuit
 formula's value, keyed by the config *sub-tuple* that formula actually
 reads instead of the full frozen config — is cached by the
-:class:`~repro.core.terms.TermCache` attached to the process cache
-(``terms``) and persisted as ``energy-*.json`` files in the same disk
-directory (term keys start with ``term|``/``areaterm|``, so the two
-entry kinds can never collide).  An energy term key reads
-``term|v2|<term>|<context>|<sub-tuple repr>``: the context is ``pure``
-for entries shared across layers and modes, or ``dist|`` plus a 128-bit
-digest of the layer fingerprint, rendered once per family derivation,
-so a key stays short however large the fingerprint.
-A cold *full-config* miss in every tier then rarely pays full price:
+:class:`~repro.core.terms.TermCache` attached to the cache (``terms``;
+the process-wide cache of :mod:`repro.core.batch` always has one).  An
+energy term key reads ``term|v2|<term>|<context>|<sub-tuple repr>``:
+the context is ``pure`` for entries shared across layers and modes, or
+``dist|`` plus a 128-bit digest of the layer fingerprint, rendered once
+per family derivation, so a key stays short however large the
+fingerprint.  A cold *full-config* miss then rarely pays full price:
 :meth:`PerActionEnergyCache.derive_many` hands the term cache to the
 config-axis deriver, which re-derives only the terms the new configs
-actually changed and assembles the rest from cached terms.  The
-``REPRO_TERM_CACHE`` env knob (default on; ``0``/``false`` disables)
-gates term granularity without touching the full-table tiers.
+actually changed and assembles the rest from cached terms.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.architecture.macro import CiMMacro, CiMMacroConfig, MacroLayerCounts
 from repro.core.terms import TermCache
-from repro.utils.diskstore import atomic_write_json, evict_lru_files
-from repro.utils.env import env_positive_int
 from repro.utils.errors import EvaluationError
 from repro.workloads.distributions import LayerDistributions, profile_layer
 from repro.workloads.layer import Layer
 
 #: Cache key: the full frozen macro config plus the layer fingerprint.
 CacheKey = Tuple[CiMMacroConfig, tuple]
-
-#: Environment variable naming the directory of the opt-in disk cache.
-ENERGY_CACHE_DIR_ENV = "REPRO_ENERGY_CACHE_DIR"
-
-#: Environment variables bounding the disk cache (LRU eviction).
-ENERGY_CACHE_MAX_ENTRIES_ENV = "REPRO_ENERGY_CACHE_MAX_ENTRIES"
-ENERGY_CACHE_MAX_BYTES_ENV = "REPRO_ENERGY_CACHE_MAX_BYTES"
-
-
-class DiskEnergyCache:
-    """Disk-backed store of per-action energies for cross-process reuse.
-
-    Entries are JSON files named by the SHA-256 of the *canonical key
-    string* — the full frozen macro config repr plus the layer
-    fingerprint repr, the same identity the in-memory
-    :class:`PerActionEnergyCache` keys on.  Any config or layer change
-    therefore lands on a different file, so stale entries can never be
-    served after a design change (fingerprint invalidation for free).
-    The stored key string is verified on load, which also guards against
-    hash collisions.
-
-    Robustness: a missing, truncated, corrupted, version-skewed, or
-    mismatched file is treated as a miss (counted in ``load_failures``)
-    and the energies are recomputed and rewritten; genuinely corrupt
-    entries are additionally quarantined — renamed to ``*.corrupt`` on
-    the first failed parse (counted in ``quarantined``), so every later
-    lookup of the key is a clean miss.  Writes go through a
-    temporary file + ``os.replace`` so concurrent workers never observe a
-    half-written entry.
-
-    Bounds: ``max_entries`` / ``max_bytes`` cap the store with LRU
-    eviction — every load refreshes its entry's mtime, and after each
-    store the oldest entries beyond either limit are unlinked (counted in
-    ``evictions``).  Unbounded by default; the environment variables
-    ``REPRO_ENERGY_CACHE_MAX_ENTRIES`` / ``REPRO_ENERGY_CACHE_MAX_BYTES``
-    bound the opt-in cache without code changes.
-
-    Like the in-memory cache, entries assume default-profiled
-    distributions; callers with custom profiles must use a separate
-    directory (or no disk cache at all).
-    """
-
-    VERSION = 1
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1 (or None)")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1 (or None)")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.loads = 0
-        self.load_failures = 0
-        self.quarantined = 0
-        self.evictions = 0
-
-    @classmethod
-    def from_env(cls, variable: str = ENERGY_CACHE_DIR_ENV) -> Optional["DiskEnergyCache"]:
-        """The cache named by the environment, or None when unset/empty.
-
-        An unusable directory (unwritable parent, permission denied)
-        disables the opt-in cache with a warning instead of raising —
-        this runs at import time of the batch engine, and a broken env
-        var must not take the whole package down.
-        """
-        directory = os.environ.get(variable, "").strip()
-        if not directory:
-            return None
-        try:
-            return cls(
-                directory,
-                max_entries=env_positive_int(ENERGY_CACHE_MAX_ENTRIES_ENV),
-                max_bytes=env_positive_int(ENERGY_CACHE_MAX_BYTES_ENV),
-            )
-        except OSError as error:
-            import sys
-
-            print(
-                f"warning: {variable}={directory!r} is unusable ({error}); "
-                "disk energy cache disabled",
-                file=sys.stderr,
-            )
-            return None
-
-    @staticmethod
-    def canonical_key(key: CacheKey) -> str:
-        """Deterministic string identity of a cache key: the full frozen
-        config repr and the layer fingerprint repr."""
-        config, fingerprint = key
-        return f"{config!r}|{fingerprint!r}"
-
-    def path_for(self, key: CacheKey) -> Path:
-        """The entry file a key maps to."""
-        return self._path_for_string(self.canonical_key(key))
-
-    def _path_for_string(self, key: str) -> Path:
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.directory / f"energy-{digest}.json"
-
-    def load(self, key: CacheKey) -> Optional[Dict[str, float]]:
-        """The stored energies of a key, or None on any kind of miss."""
-        return self.load_canonical(self.canonical_key(key))
-
-    def load_canonical(self, key: str) -> Optional[Dict[str, float]]:
-        """Load an entry by its canonical key string.
-
-        The string-keyed face of the store, used directly by the
-        term-granular cache (:class:`repro.core.terms.TermCache`), whose
-        keys are canonical strings rather than ``(config, fingerprint)``
-        pairs; term and full-table entries share the directory, the LRU
-        bounds, and the robustness guarantees.
-        """
-        path = self._path_for_string(key)
-        try:
-            payload = json.loads(path.read_text())
-            if payload["version"] != self.VERSION:
-                raise ValueError(f"version {payload['version']}")
-            if payload["key"] != key:
-                raise ValueError("key mismatch")
-            energies = {
-                str(action): float(value)
-                for action, value in payload["energies"].items()
-            }
-        except FileNotFoundError:
-            return None
-        except OSError:
-            # I/O trouble (permissions, dying disk) says nothing about
-            # the entry's content; treat as a plain miss.
-            self.load_failures += 1
-            return None
-        except (ValueError, KeyError, TypeError, AttributeError):
-            # The entry itself is corrupt and stays corrupt: quarantine
-            # it once so later hits on this key miss cleanly instead of
-            # re-attempting the parse on every lookup.
-            self.load_failures += 1
-            self._quarantine(path)
-            return None
-        self.loads += 1
-        if self.max_entries is not None or self.max_bytes is not None:
-            try:
-                os.utime(path)  # refresh recency so eviction is LRU, not FIFO
-            except OSError:
-                pass
-        return energies
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry out of the ``energy-*.json`` namespace.
-
-        Renamed to ``energy-<digest>.corrupt`` so loads, eviction scans,
-        and entry counts no longer see it, while the bytes stay around
-        for post-mortems.  Losing a rename race to a concurrent reader
-        is harmless — the entry is gone either way.
-        """
-        try:
-            path.replace(path.with_suffix(".corrupt"))
-        except OSError:
-            return
-        self.quarantined += 1
-
-    def store(self, key: CacheKey, energies: Dict[str, float]) -> None:
-        """Atomically persist one entry (last writer wins).
-
-        Disk trouble only costs the persistence, never the run — the
-        caller already holds the energies in memory (see
-        :func:`repro.utils.diskstore.atomic_write_json`, shared with the
-        service result store).
-        """
-        self.store_canonical(self.canonical_key(key), energies)
-
-    def store_canonical(self, key: str, energies: Dict[str, float]) -> None:
-        """Atomically persist one entry by its canonical key string."""
-        path = self._path_for_string(key)
-        payload = {
-            "version": self.VERSION,
-            "key": key,
-            "energies": dict(energies),
-        }
-        if atomic_write_json(path, payload, "energy cache entry"):
-            self._evict()
-
-    def _evict(self) -> None:
-        """LRU-unlink entries beyond the configured bounds (newest kept;
-        see :func:`repro.utils.diskstore.evict_lru_files`)."""
-        self.evictions += evict_lru_files(
-            self.directory, "energy-*.json", self.max_entries, self.max_bytes
-        )
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("energy-*.json"))
 
 
 @dataclass
@@ -303,18 +89,11 @@ class PerActionEnergyCache:
     Access is serialised by a lock so a cache can be shared by concurrent
     sweep threads with exact hit/miss accounting.
 
-    Persistence
-    -----------
-    The optional **disk tier** (:class:`DiskEnergyCache`) backs the
-    in-memory map on a memory miss and persists entries across processes
-    and runs; fresh derivations are written through it.  ``derivations``
-    counts *actual* energy-model computations — a fully warm tier stack
-    leaves it at zero — while ``misses`` keeps counting memory misses
-    whether or not the disk served them (``disk_hits`` says it did).
+    ``derivations`` counts energy-model computations: one per miss.
 
     When a term-granular cache (``terms``) is attached, bulk derivations
-    that miss every full-table tier still reuse per-component terms
-    across configs, families, and runs: :meth:`derive_many` hands the
+    that miss the full-table entries still reuse per-component terms
+    across configs and families: :meth:`derive_many` hands the
     term cache to the config-axis deriver, which re-derives only the
     terms the missing configs actually changed.
     """
@@ -322,8 +101,6 @@ class PerActionEnergyCache:
     _entries: Dict[CacheKey, Dict[str, float]] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-    disk: Optional[DiskEnergyCache] = None
-    disk_hits: int = 0
     derivations: int = 0
     terms: Optional[TermCache] = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -346,32 +123,13 @@ class PerActionEnergyCache:
                 self.hits += 1
                 return self._entries[key]
             self.misses += 1
-            served = self._load_from_disk(key)
-            if served is not None:
-                return served
             self.derivations += 1
             if distributions is None:
                 distributions = profile_layer(layer)
             context = macro.operand_context(distributions)
             energies = macro.per_action_energies(context)
-            self._store(key, energies)
+            self._entries[key] = energies
             return energies
-
-    def _load_from_disk(self, key: CacheKey) -> Optional[Dict[str, float]]:
-        """Resolve a memory miss through the disk tier."""
-        if self.disk is None:
-            return None
-        stored = self.disk.load(key)
-        if stored is not None:
-            self.disk_hits += 1
-            self._entries[key] = stored
-        return stored
-
-    def _store(self, key: CacheKey, energies: Dict[str, float]) -> None:
-        """Insert a fresh derivation and write it through the disk tier."""
-        self._entries[key] = energies
-        if self.disk is not None:
-            self.disk.store(key, energies)
 
     def derive_many(
         self,
@@ -385,10 +143,9 @@ class PerActionEnergyCache:
         For each layer, entries already present count as ``hits``; the
         remaining configs are derived in **one config-axis batched pass**
         (:func:`repro.core.config_batch.derive_config_batch`) instead of
-        one scalar macro walk per config, then written through the disk
-        tier exactly like :meth:`get` derivations.  Accounting matches the
-        scalar path entry for entry: every returned table was either a
-        hit, a disk hit, or a derivation.
+        one scalar macro walk per config, then stored exactly like
+        :meth:`get` derivations.  Accounting matches the scalar path entry
+        for entry: every returned table was either a hit or a derivation.
 
         ``distributions`` maps layer names to profiles (as
         ``profile_network`` produces); absent layers are profiled with
@@ -408,34 +165,27 @@ class PerActionEnergyCache:
             for column, layer in enumerate(layers):
                 fingerprint = layer.fingerprint()
                 remaining: List[int] = []
-                pending: set = set()
+                # Duplicate configs in the grid derive once, not per slot;
+                # a duplicate slot counts as a hit, exactly as a
+                # sequential get() loop would record it.
+                unique: Dict[CiMMacroConfig, int] = {}
                 for row, config in enumerate(configs):
-                    key = (config, fingerprint)
-                    if key in self._entries or config in pending:
-                        # Duplicate grid slots count as hits, exactly as a
-                        # sequential get() loop would record them.
+                    entry = self._entries.get((config, fingerprint))
+                    if entry is not None:
                         self.hits += 1
-                        if key in self._entries:
-                            tables[row][column] = self._entries[key]
-                        else:
-                            remaining.append(row)
+                        tables[row][column] = entry
                         continue
-                    self.misses += 1
-                    served = self._load_from_disk(key)
-                    if served is not None:
-                        tables[row][column] = served
+                    if config in unique:
+                        self.hits += 1
                     else:
-                        remaining.append(row)
-                        pending.add(config)
+                        self.misses += 1
+                        unique[config] = len(unique)
+                    remaining.append(row)
                 if not remaining:
                     continue
                 layer_distributions = (
                     distributions.get(layer.name) if distributions else None
                 )
-                # Duplicate configs in the grid derive once, not per slot.
-                unique: Dict[CiMMacroConfig, int] = {}
-                for row in remaining:
-                    unique.setdefault(configs[row], len(unique))
                 batch = derive_config_batch(
                     list(unique),
                     layer,
@@ -446,7 +196,7 @@ class PerActionEnergyCache:
                 self.derivations += len(unique)
                 derived = [batch.per_action(position) for position in range(len(unique))]
                 for config, position in unique.items():
-                    self._store((config, fingerprint), derived[position])
+                    self._entries[(config, fingerprint)] = derived[position]
                 for row in remaining:
                     tables[row][column] = derived[unique[configs[row]]]
         return tables
@@ -464,37 +214,24 @@ class PerActionEnergyCache:
             self._entries[key] = energies
 
     def stats(self) -> Dict[str, object]:
-        """Counters of the whole tier stack, for health/observability —
-        what the service ``/healthz`` endpoint reports."""
+        """Counters of the cache and its term entries, for
+        health/observability — what the service ``/healthz`` endpoint
+        reports."""
         with self._lock:
-            payload: Dict[str, object] = {
+            return {
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
-                "disk_hits": self.disk_hits,
                 "derivations": self.derivations,
                 "term_tier": self.terms.stats() if self.terms is not None else None,
-                "disk_tier": None,
             }
-            if self.disk is not None:
-                payload["disk_tier"] = {
-                    "directory": str(self.disk.directory),
-                    "loads": self.disk.loads,
-                    "load_failures": self.disk.load_failures,
-                    "quarantined": self.disk.quarantined,
-                    "evictions": self.disk.evictions,
-                }
-            return payload
 
     def invalidate(self) -> None:
-        """Drop every cached in-memory entry (disk entries are left
-        alone: their keys embed the full config, so they can never serve
-        a changed design)."""
+        """Drop every cached entry and reset the counters."""
         with self._lock:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
-            self.disk_hits = 0
             self.derivations = 0
             if self.terms is not None:
                 self.terms.invalidate()

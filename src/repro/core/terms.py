@@ -19,11 +19,10 @@ inputs.  This module factors the derivation around that independence:
   configs with equal term keys produce bitwise-equal term values, so the
   batched deriver (:mod:`repro.core.config_batch`) evaluates each unique
   ``(term, key)`` once per family and broadcasts.
-* :class:`TermCache` stores derived term values across families,
-  requests, and runs — in memory and through the disk tier — so a warm
-  near-duplicate family assembles its
-  ``(configs, actions)`` table from cached terms and derives only the
-  terms its perturbed axis actually changed.
+* :class:`TermCache` stores derived term values in process memory
+  across families and requests, so a warm near-duplicate family
+  assembles its ``(configs, actions)`` table from cached terms and
+  derives only the terms its perturbed axis actually changed.
 
 Cache keys are strings, stable across processes (no ``hash()`` or
 ``id()``): an energy term entry is
@@ -34,7 +33,7 @@ Cache keys are strings, stable across processes (no ``hash()`` or
 ``areaterm|v1|<term>|<sub-tuple repr>``.  A key's length therefore does
 not grow with the layer's fingerprint.
 
-Caching contract: like the full-table tiers, term entries assume the
+Caching contract: like the full-table entries, term entries assume the
 default cell library and default-profiled distributions; the deriver only
 engages the cache under that contract (custom libraries bypass it).
 """
@@ -55,10 +54,6 @@ from repro.circuits.drivers import ColumnMux, RowDriver
 from repro.circuits.interface import term_config_key
 from repro.devices.cells import MemoryCell
 from repro.workloads.einsum import TensorRole
-
-#: Environment variable gating the term-granular derivation cache on the
-#: process-wide energy cache ("0"/"false"/"off"/"no" disables it).
-TERM_CACHE_ENV = "REPRO_TERM_CACHE"
 
 #: Config fields that shape one operand role's statistics — the encoding
 #: subkeys of ``_batch_operand_stats``.  Output statistics are derived
@@ -337,8 +332,7 @@ def energy_term_cache_key(
     Statistic-consuming terms under profiled distributions carry
     ``layer_context`` (:func:`layer_term_context` of the layer's
     fingerprint), so two layers can never trade statistics-dependent
-    terms.  The version tag keeps these keys apart from ``v1`` keys,
-    which embedded the whole fingerprint repr, in a shared disk tier.
+    terms.
     """
     context = layer_context if spec.roles and layer_context else "pure"
     return f"term|v2|{spec.name}|{context}|{key!r}"
@@ -353,63 +347,41 @@ def area_term_cache_key(spec: TermSpec, key: tuple) -> str:
 # The term-granular cache
 # ----------------------------------------------------------------------
 class TermCache:
-    """Cache of derived component-term values, with optional tier backing.
+    """In-memory cache of derived component-term values.
 
     Entries map a canonical term key string to the term's per-action
-    values (a ``{action: value}`` dict — the same payload shape the
-    full-table tiers move, so the disk store serves term entries without
-    any new machinery).  A memory miss falls through to the disk tier,
-    exactly like :class:`~repro.core.fast_pipeline.PerActionEnergyCache`;
-    fresh derivations (recorded by the deriver via
-    :meth:`record_derivations`) are written back through it.
+    values (a ``{action: value}`` dict, the shape of a full-table entry
+    of :class:`~repro.core.fast_pipeline.PerActionEnergyCache`); the
+    deriver stores fresh values and records how many term formulas it
+    evaluated (:meth:`record_derivations`).
 
     Access is lock-serialised so the process-wide instance can be shared
     by concurrent sweep threads and the service dispatcher with exact
     hit/miss accounting.
     """
 
-    def __init__(self, disk=None):
+    def __init__(self):
         self._entries: Dict[str, Dict[str, float]] = {}
         self._operand_stats: Dict[tuple, Dict[tuple, object]] = {}
-        self.disk = disk
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
         self.derivations = 0
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_env(cls, disk=None) -> Optional["TermCache"]:
-        """A cache honouring ``REPRO_TERM_CACHE`` (None when disabled)."""
-        import os
-
-        flag = os.environ.get(TERM_CACHE_ENV, "").strip().lower()
-        if flag in ("0", "false", "off", "no"):
-            return None
-        return cls(disk=disk)
-
     def lookup(self, key: str) -> Optional[Dict[str, float]]:
-        """One entry's values, falling through the tiers; None on a miss."""
+        """One entry's values, or None on a miss."""
         with self._lock:
             values = self._entries.get(key)
             if values is not None:
                 self.hits += 1
-                return values
-            self.misses += 1
-            if self.disk is not None:
-                stored = self.disk.load_canonical(key)
-                if stored is not None:
-                    self.disk_hits += 1
-                    self._entries[key] = stored
-                    return stored
-            return None
+            else:
+                self.misses += 1
+            return values
 
     def store(self, key: str, values: Dict[str, float]) -> None:
-        """Insert one freshly derived entry and write it through the disk."""
+        """Insert one freshly derived entry."""
         with self._lock:
             self._entries[key] = values
-            if self.disk is not None:
-                self.disk.store_canonical(key, values)
 
     def operand_stats_memo(self, fingerprint, role: str) -> Dict[tuple, object]:
         """The per-(layer, role) encoding-subkey -> OperandStats memo.
@@ -435,20 +407,17 @@ class TermCache:
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
-                "disk_hits": self.disk_hits,
                 "derivations": self.derivations,
                 "hit_ratio": (self.hits / lookups) if lookups else 0.0,
             }
 
     def invalidate(self) -> None:
-        """Drop the in-memory entries and reset the counters (tier entries
-        are left alone: their keys embed the full sub-tuples)."""
+        """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
             self._operand_stats.clear()
             self.hits = 0
             self.misses = 0
-            self.disk_hits = 0
             self.derivations = 0
 
     def __len__(self) -> int:

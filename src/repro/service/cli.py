@@ -7,8 +7,9 @@ Commands
     ``--port``; ``--port 0`` picks an ephemeral port and prints it).
     ``--shards N`` serves the sharded deployment instead — the service's
     only multi-process path: the same async front end routing over a
-    consistent-hash ring to ``N`` scheduler worker processes sharing one
-    disk result tier (``--store-dir``).
+    consistent-hash ring to ``N`` scheduler worker processes.
+    ``--store-dir`` names the disk result tier in both modes (shared by
+    every worker of a fleet).
 ``submit``
     Send one request to a running service (``--url``) or evaluate it
     in-process (``--local``).  The request comes from ``--file`` (JSON,
@@ -76,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "+ N scheduler worker processes (0 = the "
                             "single-process service)")
     serve.add_argument("--store-dir", default=None,
-                       help="shared disk result tier of the shard fleet "
-                            "(sharded mode; default REPRO_RESULT_STORE_DIR "
-                            "per worker)")
+                       help="disk result tier (default: "
+                            "REPRO_RESULT_STORE_DIR, else memory only); "
+                            "with --shards, shared by every worker")
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request to stderr")
 
@@ -144,8 +145,10 @@ def _cmd_serve(args) -> int:
     else:
         from repro.service.http import serve
         from repro.service.scheduler import EvaluationScheduler
+        from repro.service.store import ResultStore
 
         frontend = serve(args.host, args.port, scheduler=EvaluationScheduler(
+            store=ResultStore.from_env(args.store_dir),
             max_pending=args.max_pending,
         ))
         mode, detail = "", "single process"

@@ -110,11 +110,11 @@ class SchedulerStats:
     exception.
 
     ``term_hits`` / ``term_misses`` / ``term_derivations`` attribute the
-    process-wide term cache's traffic (:mod:`repro.core.terms`) to
-    scheduler dispatches: how many per-component term lookups the ticks'
-    family batches resolved from cache versus had to derive.  A fleet of
-    near-duplicate families shows a high ``term_hit_ratio`` even when
-    every full-config key was cold.
+    traffic of the process-wide cache's term tier (:mod:`repro.core.terms`,
+    always on, in memory) to scheduler dispatches: how many per-component
+    term lookups the ticks' family batches resolved from cache versus had
+    to derive.  A fleet of near-duplicate families shows a high
+    ``term_hit_ratio`` even when every full-config key was cold.
     """
 
     submitted: int = 0
@@ -161,12 +161,9 @@ def _term_counters() -> Tuple[int, int, int]:
     """(hits, misses, derivations) of the process-wide term cache.
 
     Snapshotted around each family dispatch so the scheduler can
-    attribute term-cache traffic to its own batches; zeros when term
-    granularity is disabled (``REPRO_TERM_CACHE=0``).
+    attribute term-cache traffic to its own batches.
     """
     terms = process_energy_cache().terms
-    if terms is None:
-        return (0, 0, 0)
     return (terms.hits, terms.misses, terms.derivations)
 
 
@@ -283,8 +280,7 @@ class EvaluationScheduler:
         chaos: Optional[object] = None,
     ):
         # The default store honours the REPRO_RESULT_STORE_* environment
-        # knobs (disk tier, LRU bound), so `python -m repro.service serve`
-        # gets the documented persistence without extra wiring.
+        # knobs (disk tier, LRU bound).
         self.store = store if store is not None else ResultStore.from_env()
         # Evaluation runs in this process: scale-out across processes is
         # the shard fleet's job (repro.service.shard), not a pool's.
@@ -737,7 +733,7 @@ class EvaluationScheduler:
         """Warm the family's energy tables in one pass, then search.
 
         The per-action energies of every config in the family are derived
-        (or tier-served) through the process-wide cache in one
+        (or cache-served) through the process-wide cache in one
         ``derive_many`` call before any search runs, so N configs cost one
         config-axis batched derivation, and the searches themselves score
         whole populations against cached vectors.

@@ -7,8 +7,10 @@ chaos via the usual ``REPRO_CHAOS`` knobs), evaluating in its own
 process, and a :class:`~repro.service.store.ResultStore` whose **disk
 tier is shared** across the fleet — every worker points at the same
 directory, writes are atomic and content-addressed, so any worker serves
-any hash the fleet has ever computed (term-granular energy entries share
-the disk the same way through ``REPRO_ENERGY_CACHE_DIR``).
+any hash the fleet has ever computed.  The worker builds that store with
+:meth:`ResultStore.from_env`, only the directory taken from the fleet, so
+the ``REPRO_RESULT_STORE_*`` bounds hold in a worker as in one process.
+Energy tables and terms stay in each worker's memory.
 
 Three layers live here:
 
@@ -210,18 +212,8 @@ def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
         # cache; benchmarks comparing cold sharded vs cold single-process
         # replays need genuinely cold workers.
         process_energy_cache().invalidate()
-    store_dir = options.get("store_dir")
-    store = (
-        ResultStore(
-            directory=store_dir,
-            disk_max_entries=options.get("disk_max_entries"),
-            disk_max_bytes=options.get("disk_max_bytes"),
-        )
-        if store_dir
-        else ResultStore.from_env()
-    )
     scheduler_kwargs: Dict = {
-        "store": store,
+        "store": ResultStore.from_env(options.get("store_dir")),
         "max_pending": options.get("max_pending"),
     }
     if options.get("coalesce_window_s") is not None:

@@ -7,16 +7,16 @@ order, whitespace, and omitted defaults.  Two tiers:
 
 * an **in-memory LRU** (bounded by ``max_entries``, gets refresh recency)
   serving the hot working set of a live service process, and
-* an optional **disk tier** reusing the
-  :class:`~repro.core.fast_pipeline.DiskEnergyCache` patterns — entries
-  are JSON files named by the content hash, written atomically
-  (tempfile + ``os.replace``), verified against their stored key on
-  load, quarantined (renamed to ``*.corrupt``, counted in
-  ``corrupt_entries``) on the first corrupt read so later hits miss
-  cleanly instead of re-parsing, LRU-evicted beyond
-  ``disk_max_entries`` / ``disk_max_bytes`` with loads refreshing mtime —
-  so results survive restarts and are shared by co-located service
-  processes.
+* an optional **disk tier** — entries are JSON files named by the
+  content hash, written atomically (tempfile + ``os.replace``, so a
+  concurrent reader never sees a half-written entry; a failed write
+  costs the persistence with a warning, never the run), verified
+  against their stored key on load, quarantined (renamed to
+  ``*.corrupt``, counted in ``corrupt_entries``) on the first corrupt
+  read so later hits miss cleanly instead of re-parsing, LRU-evicted
+  beyond ``disk_max_entries`` / ``disk_max_bytes`` with loads
+  refreshing mtime (the newest entry is never evicted) — so results
+  survive restarts and are shared by co-located service processes.
 
 A hit served over HTTP needs the result's JSON bytes, not the dict:
 :meth:`ResultStore.reply` returns ``json.dumps(result, sort_keys=True)``
@@ -28,23 +28,25 @@ eviction or a :meth:`ResultStore.forget` of the hash drops them too.
 waits on the disk for it), and a request it misses is looked up — and
 counted — once more, by the submission that follows.
 
-Environment knobs (mirroring the energy-cache tiers):
-``REPRO_RESULT_STORE_DIR`` enables the disk tier,
+Environment knobs, read by :meth:`ResultStore.from_env`:
+``REPRO_RESULT_STORE_DIR`` enables the disk tier (a ``--store-dir``
+given to ``serve`` or a fleet takes its place),
 ``REPRO_RESULT_STORE_MAX_ENTRIES`` bounds the in-memory LRU, and
-``REPRO_RESULT_STORE_DISK_MAX_ENTRIES`` / ``..._DISK_MAX_BYTES`` bound
-the disk tier.
+``REPRO_RESULT_STORE_DISK_MAX_ENTRIES`` /
+``REPRO_RESULT_STORE_DISK_MAX_BYTES`` bound the disk tier.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.utils.diskstore import atomic_write_json, evict_lru_files
 from repro.utils.env import env_positive_int
 
 RESULT_STORE_DIR_ENV = "REPRO_RESULT_STORE_DIR"
@@ -73,8 +75,13 @@ class ResultStore:
         disk_max_entries: Optional[int] = None,
         disk_max_bytes: Optional[int] = None,
     ):
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
+        for name, bound in (
+            ("max_entries", max_entries),
+            ("disk_max_entries", disk_max_entries),
+            ("disk_max_bytes", disk_max_bytes),
+        ):
+            if bound is not None and bound < 1:
+                raise ValueError(f"{name} must be at least 1")
         self.max_entries = max_entries
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
@@ -95,9 +102,15 @@ class ResultStore:
         self.corrupt_entries = 0
 
     @classmethod
-    def from_env(cls) -> "ResultStore":
-        """The store configured by the environment (disk tier opt-in)."""
-        directory = os.environ.get(RESULT_STORE_DIR_ENV, "").strip() or None
+    def from_env(cls, directory: Optional[Union[str, Path]] = None) -> "ResultStore":
+        """The store configured by the environment (disk tier opt-in).
+
+        A non-empty ``directory`` (a ``--store-dir``) replaces
+        ``REPRO_RESULT_STORE_DIR``; the bounds are read from the
+        environment either way, so one deployment's store is built the
+        same in every process.
+        """
+        directory = directory or os.environ.get(RESULT_STORE_DIR_ENV, "").strip() or None
         max_entries = env_positive_int(RESULT_STORE_MAX_ENTRIES_ENV)
         try:
             return cls(
@@ -107,10 +120,8 @@ class ResultStore:
                 disk_max_bytes=env_positive_int(RESULT_STORE_DISK_MAX_BYTES_ENV),
             )
         except OSError as error:
-            import sys
-
             print(
-                f"warning: {RESULT_STORE_DIR_ENV}={directory!r} is unusable "
+                f"warning: result store directory {str(directory)!r} is unusable "
                 f"({error}); result store disk tier disabled",
                 file=sys.stderr,
             )
@@ -283,22 +294,76 @@ class ResultStore:
             self.corrupt_entries += 1
 
     def _store_to_disk(self, request_hash: str, result: Dict) -> None:
+        """Atomically persist one entry (last writer wins), then evict.
+
+        Disk trouble (full volume, directory removed, permissions) only
+        costs the persistence, never the request: the result is already
+        in memory, so a failed write is a warning on stderr.
+        """
         path = self.path_for(request_hash)
         if path is None:
             return
         payload = {"version": self.VERSION, "key": request_hash, "result": result}
-        if atomic_write_json(path, payload, "service result"):
-            self._evict_disk()
+        try:
+            handle, scratch = tempfile.mkstemp(
+                prefix=path.name, suffix=".tmp", dir=path.parent
+            )
+            try:
+                with os.fdopen(handle, "w") as stream:
+                    stream.write(json.dumps(payload, indent=1) + "\n")
+                os.replace(scratch, path)
+            except BaseException:
+                try:
+                    os.unlink(scratch)
+                except OSError:
+                    pass
+                raise
+        except OSError as error:
+            print(
+                f"warning: could not persist service result {path.name} "
+                f"({error}); continuing without it",
+                file=sys.stderr,
+            )
+            return
+        self._evict_disk()
 
     def _evict_disk(self) -> None:
         """LRU-unlink disk entries beyond the configured bounds.
 
-        Runs outside the memory lock (see :meth:`put`); only the counter
-        update re-takes it, so a concurrent evictor at worst double-scans.
+        Best-effort: a file that vanishes mid-scan (a concurrent evictor)
+        is skipped.  The newest entry is always kept, even when it alone
+        exceeds the byte budget — evicting the entry just written would
+        defeat the tier.  Runs outside the memory lock (see :meth:`put`);
+        only the counter update re-takes it, so a concurrent evictor at
+        worst double-scans.
         """
-        evicted = evict_lru_files(
-            self.directory, "result-*.json", self.disk_max_entries, self.disk_max_bytes
-        )
+        max_entries, max_bytes = self.disk_max_entries, self.disk_max_bytes
+        if max_entries is None and max_bytes is None:
+            return
+        entries = []
+        for path in self.directory.glob("result-*.json"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            entries.append((stat.st_mtime, stat.st_size, path))
+        entries.sort(reverse=True)  # newest first
+        total_bytes = 0
+        kept = 0
+        evicted = 0
+        for _, size, path in entries:
+            kept += 1
+            total_bytes += size
+            over_entries = max_entries is not None and kept > max_entries
+            over_bytes = max_bytes is not None and total_bytes > max_bytes
+            if kept > 1 and (over_entries or over_bytes):
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                evicted += 1
+                kept -= 1
+                total_bytes -= size
         if evicted:
             with self._lock:
                 self.disk_evictions += evicted

@@ -18,7 +18,7 @@ from repro.core.config_batch import (
     max_scalar_area_relative_error,
     max_scalar_relative_error,
 )
-from repro.core.fast_pipeline import DiskEnergyCache, PerActionEnergyCache
+from repro.core.fast_pipeline import PerActionEnergyCache
 from repro.macros.definitions import (
     base_macro,
     digital_cim_macro,
@@ -178,23 +178,6 @@ class TestDeriveMany:
         assert cache.derivations == 1
         assert cache.misses == 1 and cache.hits == 1
         assert tables[0][0] is tables[1][0]
-
-    def test_interoperates_with_the_disk_tier(self, tmp_path):
-        """derive_many writes through the disk tier and a warm second
-        process-equivalent cache loads instead of deriving."""
-        layer = _layer()
-        configs = [macro_b(), macro_d()]
-        cold = PerActionEnergyCache(disk=DiskEnergyCache(tmp_path))
-        cold.derive_many(configs, [layer])
-        assert cold.derivations == 2
-
-        warm = PerActionEnergyCache(disk=DiskEnergyCache(tmp_path))
-        tables = warm.derive_many(configs, [layer])
-        assert warm.derivations == 0 and warm.disk_hits == 2
-        for row, config in enumerate(configs):
-            expected = PerActionEnergyCache().get(CiMMacro(config), layer)
-            for action, reference in expected.items():
-                assert tables[row][0][action] == pytest.approx(reference, rel=GATE)
 
     def test_mixed_get_and_derive_many_share_entries(self):
         """A derive_many-filled entry is a plain cache entry: later scalar

@@ -1,23 +1,25 @@
-"""Persistence tests for the per-action energy caches.
+"""Tests for the per-action energy cache and its term tier.
 
-The disk-backed :class:`DiskEnergyCache` must round-trip energies across
-cache instances (zero derivations on a warm run), key on the full frozen
-config + layer fingerprint (any design change lands on a different
-entry), and recover from corrupted files by recomputing.  The
-process-wide cache must keep serving repeated parallel runs without
-re-deriving.
+Term entries must be reused across families (a warm family derives
+nothing, a perturbed one only the terms its axis changed) and shared
+with the area model.  The process-wide cache must keep serving repeated
+parallel runs without re-deriving, and it stays in memory with its term
+tier on whatever ``REPRO_*`` variables the environment holds.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.architecture.macro import CiMMacro
 from repro.core import batch
 from repro.core.batch import BatchRunner
 from repro.core.config_batch import area_config_batch, derive_config_batch
-from repro.core.fast_pipeline import DiskEnergyCache, PerActionEnergyCache
+from repro.core.fast_pipeline import PerActionEnergyCache
 from repro.core.terms import ENERGY_TERMS, TermCache, term_key
 from repro.macros.definitions import base_macro, macro_b
 from repro.workloads.networks import matrix_vector_workload
@@ -27,159 +29,9 @@ def _layer(repeats=2):
     return matrix_vector_workload(32, 32, repeats=repeats).layers[0]
 
 
-class TestDiskEnergyCache:
-    def test_round_trip_is_derivation_free(self, tmp_path):
-        macro = CiMMacro(base_macro(rows=32, cols=32))
-        layer = _layer()
-        cold = PerActionEnergyCache(disk=DiskEnergyCache(tmp_path))
-        first = cold.get(macro, layer)
-        assert cold.derivations == 1 and cold.disk_hits == 0
-
-        warm = PerActionEnergyCache(disk=DiskEnergyCache(tmp_path))
-        second = warm.get(macro, layer)
-        assert warm.derivations == 0  # acceptance: zero derivations when warm
-        assert warm.disk_hits == 1 and warm.misses == 1
-        assert second == pytest.approx(first)
-        # And a repeat get is now a pure memory hit.
-        warm.get(macro, layer)
-        assert warm.hits == 1 and warm.derivations == 0
-
-    def test_config_change_invalidates_by_fingerprint(self, tmp_path):
-        layer = _layer()
-        first = PerActionEnergyCache(disk=DiskEnergyCache(tmp_path))
-        first.get(CiMMacro(base_macro(rows=32, cols=32)), layer)
-
-        changed = PerActionEnergyCache(disk=DiskEnergyCache(tmp_path))
-        changed.get(
-            CiMMacro(base_macro(rows=32, cols=32).with_updates(adc_resolution=6)),
-            layer,
-        )
-        assert changed.derivations == 1  # different config: not served stale
-        assert len(DiskEnergyCache(tmp_path)) == 2  # distinct entries on disk
-
-        relayered = PerActionEnergyCache(disk=DiskEnergyCache(tmp_path))
-        relayered.get(CiMMacro(base_macro(rows=32, cols=32)), _layer(repeats=3))
-        assert relayered.derivations == 1  # different layer fingerprint too
-
-    def test_corrupted_entry_falls_back_to_recompute(self, tmp_path):
-        macro = CiMMacro(base_macro(rows=32, cols=32))
-        layer = _layer()
-        disk = DiskEnergyCache(tmp_path)
-        seeded = PerActionEnergyCache(disk=disk)
-        original = seeded.get(macro, layer)
-
-        path = disk.path_for(PerActionEnergyCache.key_for(macro, layer))
-        path.write_text("{not json")
-        repaired = PerActionEnergyCache(disk=DiskEnergyCache(tmp_path))
-        energies = repaired.get(macro, layer)
-        assert repaired.derivations == 1  # corrupted entry: recomputed
-        assert repaired.disk.load_failures == 1
-        assert energies == pytest.approx(original)
-        # The recompute rewrote a valid entry for the next process.
-        assert json.loads(path.read_text())["energies"]
-
-    def test_version_and_key_mismatches_are_misses(self, tmp_path):
-        macro = CiMMacro(base_macro(rows=32, cols=32))
-        layer = _layer()
-        disk = DiskEnergyCache(tmp_path)
-        key = PerActionEnergyCache.key_for(macro, layer)
-        PerActionEnergyCache(disk=disk).get(macro, layer)
-
-        payload = json.loads(disk.path_for(key).read_text())
-        payload["version"] = 999
-        disk.path_for(key).write_text(json.dumps(payload))
-        assert DiskEnergyCache(tmp_path).load(key) is None
-
-        payload["version"] = DiskEnergyCache.VERSION
-        payload["key"] = "someone-else"
-        disk.path_for(key).write_text(json.dumps(payload))
-        assert DiskEnergyCache(tmp_path).load(key) is None
-
-    def test_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_ENERGY_CACHE_DIR", raising=False)
-        assert DiskEnergyCache.from_env() is None
-        monkeypatch.setenv("REPRO_ENERGY_CACHE_DIR", str(tmp_path / "store"))
-        cache = DiskEnergyCache.from_env()
-        assert cache is not None and cache.directory.is_dir()
-
-    def test_from_env_reads_bounds(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENERGY_CACHE_DIR", str(tmp_path / "store"))
-        monkeypatch.setenv("REPRO_ENERGY_CACHE_MAX_ENTRIES", "7")
-        monkeypatch.setenv("REPRO_ENERGY_CACHE_MAX_BYTES", "bogus")  # ignored
-        cache = DiskEnergyCache.from_env()
-        assert cache.max_entries == 7 and cache.max_bytes is None
-
-
-class TestDiskEnergyCacheEviction:
-    def _fill(self, disk, count):
-        """Store ``count`` distinct entries (distinct configs) in order."""
-        layer = _layer()
-        keys = []
-        for index in range(count):
-            macro = CiMMacro(base_macro(rows=32, cols=32).with_updates(
-                adc_resolution=4 + index
-            ))
-            PerActionEnergyCache(disk=disk).get(macro, layer)
-            keys.append(PerActionEnergyCache.key_for(macro, layer))
-        return keys
-
-    def test_entry_bound_evicts_least_recently_used(self, tmp_path):
-        disk = DiskEnergyCache(tmp_path, max_entries=2)
-        import time
-
-        layer = _layer()
-        keys = []
-        for index in range(2):
-            macro = CiMMacro(base_macro(rows=32, cols=32).with_updates(
-                adc_resolution=4 + index
-            ))
-            PerActionEnergyCache(disk=disk).get(macro, layer)
-            keys.append(PerActionEnergyCache.key_for(macro, layer))
-            time.sleep(0.01)  # keep mtimes ordered on coarse filesystems
-        # Touch the older entry so the *newer* one becomes the LRU victim.
-        assert disk.load(keys[0]) is not None
-        time.sleep(0.01)
-        third_macro = CiMMacro(base_macro(rows=32, cols=32).with_updates(
-            adc_resolution=9
-        ))
-        PerActionEnergyCache(disk=disk).get(third_macro, layer)
-
-        assert len(disk) == 2 and disk.evictions == 1
-        assert disk.load(keys[0]) is not None  # recently used: kept
-        assert disk.load(keys[1]) is None  # LRU: evicted
-        assert disk.load(PerActionEnergyCache.key_for(third_macro, layer)) is not None
-
-    def test_byte_bound_keeps_newest_entries(self, tmp_path):
-        probe = DiskEnergyCache(tmp_path / "probe")
-        self._fill(probe, 1)
-        entry_bytes = next(probe.directory.glob("energy-*.json")).stat().st_size
-
-        disk = DiskEnergyCache(tmp_path / "bounded", max_bytes=int(entry_bytes * 2.5))
-        self._fill(disk, 4)
-        assert len(disk) == 2  # 2.5 entries of budget -> 2 newest survive
-        assert disk.evictions == 2
-
-    def test_newest_entry_survives_an_impossible_byte_budget(self, tmp_path):
-        disk = DiskEnergyCache(tmp_path, max_bytes=1)
-        self._fill(disk, 2)
-        assert len(disk) == 1  # the just-written entry is never evicted
-
-    def test_unbounded_cache_never_evicts(self, tmp_path):
-        disk = DiskEnergyCache(tmp_path)
-        self._fill(disk, 3)
-        assert len(disk) == 3 and disk.evictions == 0
-
-    def test_invalid_bounds_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskEnergyCache(tmp_path, max_entries=0)
-        with pytest.raises(ValueError):
-            DiskEnergyCache(tmp_path, max_bytes=0)
-
-
 class TestTermTier:
     """The term-granular cache: per-component terms keyed by config
-    sub-tuples, reused across families, shared with the area model, and
-    persisted through the disk tier."""
+    sub-tuples, reused across families and shared with the area model."""
 
     def _grid(self, bits=(4, 5, 6)):
         return [
@@ -214,19 +66,6 @@ class TestTermTier:
         reference = derive_config_batch(perturbed, layer, term_cache=None)
         assert np.array_equal(warm.energies, reference.energies)
 
-    def test_disk_tier_round_trips_terms(self, tmp_path):
-        layer = _layer()
-        configs = self._grid()
-        cold_cache = TermCache(disk=DiskEnergyCache(tmp_path))
-        cold = derive_config_batch(configs, layer, term_cache=cold_cache)
-        assert cold_cache.derivations > 0
-
-        fresh = TermCache(disk=DiskEnergyCache(tmp_path))
-        warm = derive_config_batch(configs, layer, term_cache=fresh)
-        assert fresh.derivations == 0  # every term served from disk
-        assert fresh.disk_hits > 0
-        assert np.array_equal(warm.energies, cold.energies)
-
     def test_area_terms_share_the_cache(self):
         cache = TermCache()
         configs = self._grid()
@@ -236,12 +75,6 @@ class TestTermTier:
         warm = area_config_batch(configs, term_cache=cache)
         assert cache.derivations == derivations
         assert np.array_equal(warm.areas, cold.areas)
-
-    def test_from_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TERM_CACHE", "0")
-        assert TermCache.from_env() is None
-        monkeypatch.delenv("REPRO_TERM_CACHE", raising=False)
-        assert TermCache.from_env() is not None
 
     def test_custom_cell_library_bypasses_the_term_cache(self):
         """Term entries assume the default cell library; an explicit
@@ -306,3 +139,48 @@ class TestWorkerPersistentCache:
         grid = BatchRunner(workers=1).run_grid([config], network)
         expected = CiMLoopModel(config).evaluate(network)
         assert grid[0].total_energy == expected.total_energy
+
+
+#: Run in a fresh interpreter: the process-wide cache is built when
+#: ``repro.core.batch`` is imported, so the environment must be set first.
+_DERIVE_IN_A_FRESH_PROCESS = textwrap.dedent("""
+    import json
+
+    from repro.core.batch import process_energy_cache
+    from repro.macros.definitions import base_macro
+    from repro.workloads.networks import matrix_vector_workload
+
+    cache = process_energy_cache()
+    layer = matrix_vector_workload(32, 32, repeats=2).layers[0]
+    configs = [
+        base_macro(rows=32, cols=32).with_updates(adc_resolution=bits)
+        for bits in (4, 5)
+    ]
+    cache.derive_many(configs, [layer])
+    print(json.dumps({
+        "term_tier": cache.terms is not None,
+        "derivations": cache.derivations,
+    }))
+""")
+
+
+def test_removed_energy_cache_knobs_are_inert(tmp_path):
+    """``REPRO_ENERGY_CACHE_*`` and ``REPRO_TERM_CACHE`` are no longer
+    read: the process cache keeps its term tier and writes no file."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env.update(
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        REPRO_ENERGY_CACHE_DIR=str(tmp_path / "energy"),
+        REPRO_ENERGY_CACHE_MAX_ENTRIES="1",
+        REPRO_ENERGY_CACHE_MAX_BYTES="1",
+        REPRO_TERM_CACHE="0",
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", _DERIVE_IN_A_FRESH_PROCESS],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert probe.returncode == 0, probe.stderr
+    written = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*"))
+    report = json.loads(probe.stdout)
+    assert (report, written) == ({"term_tier": True, "derivations": 2}, [])

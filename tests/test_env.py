@@ -1,12 +1,16 @@
-"""The one parser behind every numeric ``REPRO_*`` knob.
+"""The ``REPRO_*`` knobs: which exist, and the one numeric parser.
 
-Each knob is read through its real consumer: a well-formed value is
-used, unset or empty means the default, and a malformed or out-of-range
-value warns on stderr and falls back to the default.  A restart budget
-of 0 is well-formed (recover in-flight work, never respawn), and so are
-a chaos seed of 0 and a chaos probability of 0 or 1.
+The knobs ``src/`` reads are exactly the ones README.md documents by
+full name.  Each numeric knob is read through its real consumer: a
+well-formed value is used, unset or empty means the default, and a
+malformed or out-of-range value warns on stderr and falls back to the
+default.  A restart budget of 0 is well-formed (recover in-flight work,
+never respawn), and so are a chaos seed of 0 and a chaos probability of
+0 or 1.
 """
 
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +23,9 @@ from repro.service.shard.frontend import (
     DEFAULT_TIMEOUT_INTERVALS,
     FleetSupervisor,
 )
+from repro.service.store import DEFAULT_MAX_ENTRIES, ResultStore
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 #: The heartbeat interval of the stub fleet the supervisor reads.
 _INTERVAL_S = 0.05
@@ -27,6 +34,10 @@ _DEFAULT_TIMEOUT_S = DEFAULT_TIMEOUT_INTERVALS * _INTERVAL_S
 
 def _scheduler(attribute):
     return lambda: getattr(EvaluationScheduler(), attribute)
+
+
+def _store(attribute):
+    return lambda: getattr(ResultStore.from_env(), attribute)
 
 
 def _supervisor(attribute):
@@ -41,6 +52,11 @@ def _supervisor(attribute):
     ("REPRO_SERVICE_MAX_PENDING", "0", _scheduler("max_pending"), None, True),
     ("REPRO_SERVICE_MAX_PENDING", "2.5", _scheduler("max_pending"), None, True),
     ("REPRO_SERVICE_MAX_PENDING", "many", _scheduler("max_pending"), None, True),
+    ("REPRO_RESULT_STORE_MAX_ENTRIES", "7", _store("max_entries"), 7, False),
+    ("REPRO_RESULT_STORE_MAX_ENTRIES", "0", _store("max_entries"), DEFAULT_MAX_ENTRIES,
+     True),
+    ("REPRO_RESULT_STORE_DISK_MAX_ENTRIES", "3", _store("disk_max_entries"), 3, False),
+    ("REPRO_RESULT_STORE_DISK_MAX_BYTES", "lots", _store("disk_max_bytes"), None, True),
     ("REPRO_FLEET_HEARTBEAT_TIMEOUT_S", "0.25", _supervisor("heartbeat_timeout_s"),
      0.25, False),
     ("REPRO_FLEET_HEARTBEAT_TIMEOUT_S", "0", _supervisor("heartbeat_timeout_s"),
@@ -86,3 +102,20 @@ def test_chaos_env_knobs(monkeypatch, capsys, variable, raw, attribute, expected
     assert getattr(EvaluationScheduler().chaos.config, attribute) == expected
     err = capsys.readouterr().err
     assert err.count(f"warning: ignoring {variable}=") == (1 if warns else 0)
+
+
+def test_readme_documents_exactly_the_knobs_src_reads():
+    """Every ``"REPRO_..."`` literal in ``src/`` is a knob some module
+    reads; README.md names each in full.  Wildcards (``REPRO_FLEET_*``)
+    and prefixes cut short (``..._DISK_MAX_BYTES``) are not names."""
+    read = {
+        name
+        for path in (_ROOT / "src").rglob("*.py")
+        for name in re.findall(r'"(REPRO_[A-Z_]+)"', path.read_text())
+    }
+    documented = {
+        name
+        for name in re.findall(r"REPRO_[A-Z_]+\*?", (_ROOT / "README.md").read_text())
+        if not name.endswith(("_", "*"))
+    }
+    assert read == documented

@@ -13,6 +13,7 @@ end-to-end HTTP smoke test against an ephemeral port, including the real
 ``python -m repro.service serve`` command.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -282,6 +283,74 @@ class TestResultStore:
         assert len(remaining) == 2
         assert store.disk_evictions == 3
 
+    @staticmethod
+    def _disk_entries(store):
+        return sorted(path.name for path in store.directory.glob("result-*.json"))
+
+    def test_a_disk_load_refreshes_recency(self, tmp_path):
+        store = ResultStore(max_entries=1, directory=tmp_path, disk_max_entries=2)
+        for index in range(2):
+            store.put(f"h{index}", {"value": index})
+            time.sleep(0.01)  # keep mtimes ordered on coarse filesystems
+        assert store.get("h0") == {"value": 0}  # from disk: h1 is now the LRU
+        time.sleep(0.01)
+        store.put("h2", {"value": 2})
+        assert self._disk_entries(store) == ["result-h0.json", "result-h2.json"]
+
+    def test_disk_byte_bound_keeps_the_newest_entries(self, tmp_path):
+        probe = ResultStore(directory=tmp_path / "probe")
+        probe.put("h0", {"value": 0})
+        entry_bytes = probe.path_for("h0").stat().st_size
+        store = ResultStore(
+            directory=tmp_path / "bounded", disk_max_bytes=int(entry_bytes * 2.5)
+        )
+        for index in range(4):
+            store.put(f"h{index}", {"value": index})
+            time.sleep(0.01)
+        assert self._disk_entries(store) == ["result-h2.json", "result-h3.json"]
+        assert store.disk_evictions == 2
+
+    def test_a_failed_disk_write_costs_only_the_persistence(self, tmp_path, capsys):
+        store = ResultStore(directory=tmp_path / "gone")
+        (tmp_path / "gone").rmdir()
+        store.put("h0", {"value": 0})
+        assert store.get("h0") == {"value": 0}
+        assert "warning: could not persist service result" in capsys.readouterr().err
+
+    def test_the_newest_disk_entry_survives_an_impossible_byte_budget(self, tmp_path):
+        store = ResultStore(directory=tmp_path, disk_max_bytes=1)
+        for index in range(2):
+            store.put(f"h{index}", {"value": index})
+            time.sleep(0.01)
+        assert self._disk_entries(store) == ["result-h1.json"]
+
+    def test_an_unbounded_disk_tier_never_evicts(self, tmp_path):
+        store = ResultStore(max_entries=1, directory=tmp_path)
+        for index in range(3):
+            store.put(f"h{index}", {"value": index})
+        assert self._disk_entries(store) == [f"result-h{index}.json" for index in range(3)]
+        assert store.disk_evictions == 0 and store.evictions == 2
+
+    @pytest.mark.parametrize("bound", ["max_entries", "disk_max_entries", "disk_max_bytes"])
+    def test_bounds_below_one_are_rejected(self, tmp_path, bound):
+        with pytest.raises(ValueError, match=f"{bound} must be at least 1"):
+            ResultStore(directory=tmp_path, **{bound: 0})
+
+    def test_an_interrupted_disk_write_leaves_no_scratch_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def replace(source, target):
+            raise OSError("disk full")
+
+        store = ResultStore(directory=tmp_path)
+        monkeypatch.setattr("repro.service.store.os.replace", replace)
+        store.put("h0", {"value": 0})
+        assert list(tmp_path.iterdir()) == []
+        assert store.get("h0") == {"value": 0}
+        assert "could not persist service result result-h0.json (disk full)" in (
+            capsys.readouterr().err
+        )
+
     def test_reply_bytes_are_memoised_and_dropped_with_their_entry(self):
         store = ResultStore(max_entries=2)
         assert store.reply("a") is None
@@ -314,6 +383,31 @@ class TestResultStore:
         store = ResultStore.from_env()
         assert store.max_entries == 7
         assert store.directory == tmp_path / "results"
+
+    @pytest.mark.parametrize("raw", [None, "", "  "])
+    def test_from_env_without_a_directory_is_memory_only(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("REPRO_RESULT_STORE_DIR", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_RESULT_STORE_DIR", raw)
+        store = ResultStore.from_env()
+        assert store.directory is None and store.path_for("h0") is None
+
+    def test_a_store_dir_takes_the_place_of_the_env_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_STORE_DIR", str(tmp_path / "env"))
+        monkeypatch.setenv("REPRO_RESULT_STORE_DISK_MAX_ENTRIES", "3")
+        store = ResultStore.from_env(tmp_path / "flag")
+        assert store.directory == tmp_path / "flag" and store.disk_max_entries == 3
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["flag"]
+
+    def test_an_unusable_directory_leaves_a_memory_only_store(self, tmp_path, capsys):
+        occupied = tmp_path / "occupied"
+        occupied.write_text("a file, not a directory")
+        store = ResultStore.from_env(occupied)
+        assert store.directory is None
+        assert "result store disk tier disabled" in capsys.readouterr().err
+        store.put("h0", {"value": 0})
+        assert store.get("h0") == {"value": 0}
 
 
 # ----------------------------------------------------------------------
@@ -680,7 +774,8 @@ class TestHTTPService:
         assert status == 200 and health["status"] == "ok"
         assert health["scheduler"]["submitted"] >= 1
         assert "store" in health and "energy_cache" in health
-        assert {"term_tier", "disk_tier"} <= set(health["energy_cache"])
+        assert health["energy_cache"]["term_tier"] is not None
+        assert "disk_tier" not in health["energy_cache"]
 
     def test_batch_endpoint_coalesces_duplicates(self, server):
         body = {"macro": "base_macro", "workload": "mvm_32x32",
@@ -902,6 +997,41 @@ def _subprocess_env():
     return env
 
 
+@contextlib.contextmanager
+def _serve_process(*args):
+    """``python -m repro.service serve --port 0 <args>`` in a child
+    process, yielded with its port once it listens; killed on exit if
+    the test left it running."""
+    import queue
+
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve", "--port", "0", *args],
+        env=_subprocess_env(), stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True,
+    )
+    lines: "queue.Queue" = queue.Queue()
+
+    def _read_stderr():
+        for line in process.stderr:
+            lines.put(line)
+        lines.put(None)
+
+    threading.Thread(target=_read_stderr, daemon=True).start()
+    try:
+        port = None
+        while port is None:
+            line = lines.get(timeout=120)
+            assert line is not None, "serve exited before listening"
+            match = re.search(r"listening on http://127\.0\.0\.1:(\d+)", line)
+            if match:
+                port = int(match.group(1))
+        yield process, port
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+
+
 class TestServeCommand:
     """``python -m repro.service serve`` as a user runs it."""
 
@@ -924,34 +1054,9 @@ class TestServeCommand:
 
     def test_keep_alive_store_hits_and_sigterm_drain(self):
         import http.client
-        import queue
-        import re
         import signal
-        import time
 
-        env = _subprocess_env()
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.service", "serve", "--port", "0"],
-            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE, text=True,
-        )
-        lines: "queue.Queue" = queue.Queue()
-
-        def _read_stderr():
-            for line in process.stderr:
-                lines.put(line)
-            lines.put(None)
-
-        threading.Thread(target=_read_stderr, daemon=True).start()
-        try:
-            port = None
-            while port is None:
-                line = lines.get(timeout=120)
-                assert line is not None, "serve exited before listening"
-                match = re.search(r"listening on http://127\.0\.0\.1:(\d+)", line)
-                if match:
-                    port = int(match.group(1))
-
+        with _serve_process() as (process, port):
             connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
             body = json.dumps({"macro": "base_macro", "workload": "mvm_32x32"})
             headers = {"Content-Type": "application/json"}
@@ -976,7 +1081,23 @@ class TestServeCommand:
 
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=60) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
+
+    def test_store_dir_without_shards_writes_the_disk_tier(self, tmp_path):
+        """``--store-dir`` names the disk result tier of the single
+        process too, as it does for every worker of a fleet."""
+        import http.client
+        import signal
+
+        with _serve_process("--store-dir", str(tmp_path)) as (process, port):
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+            body = json.dumps({"macro": "base_macro", "workload": "mvm_32x32"})
+            connection.request("POST", "/evaluate", body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            result = json.loads(response.read())
+            assert response.status == 200
+            connection.close()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+        entries = sorted(path.name for path in tmp_path.iterdir())
+        assert entries == [f"result-{result['request_hash']}.json"]

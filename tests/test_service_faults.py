@@ -20,7 +20,6 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.core.fast_pipeline import DiskEnergyCache
 from repro.service import (
     ChaosConfig,
     ChaosInjector,
@@ -314,19 +313,6 @@ class TestQuarantine:
         reader.put("a" * 64, {"objective": "energy", "value": 2.0})
         fresh = ResultStore(directory=tmp_path)
         assert fresh.get("a" * 64) == {"objective": "energy", "value": 2.0}
-
-    def test_disk_energy_cache_quarantines_corrupt_entries(self, tmp_path):
-        cache = DiskEnergyCache(tmp_path)
-        cache.store_canonical("some|key", {"read": 1.0, "write": 2.0})
-        path = cache._path_for_string("some|key")
-        path.write_text("garbage{{{{")
-        assert cache.load_canonical("some|key") is None
-        assert cache.load_failures == 1
-        assert cache.quarantined == 1
-        assert not path.exists()
-        assert path.with_suffix(".corrupt").exists()
-        assert cache.load_canonical("some|key") is None
-        assert cache.load_failures == 1  # clean miss, not a re-parse
 
 
 # ----------------------------------------------------------------------

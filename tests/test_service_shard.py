@@ -384,6 +384,32 @@ class TestDrainAndAdd:
             fleet.close()
 
 
+class TestWorkerStore:
+    """A worker given the fleet's store directory builds its store like
+    ``ResultStore.from_env``: only the directory comes from the fleet,
+    every ``REPRO_RESULT_STORE_*`` bound from the environment."""
+
+    @pytest.mark.parametrize("disk_bound", [
+        "REPRO_RESULT_STORE_DISK_MAX_ENTRIES",
+        "REPRO_RESULT_STORE_DISK_MAX_BYTES",
+    ])
+    def test_store_dir_keeps_the_env_bounds(self, tmp_path, monkeypatch, disk_bound):
+        monkeypatch.setenv("REPRO_RESULT_STORE_MAX_ENTRIES", "7")
+        monkeypatch.setenv(disk_bound, "1")
+        fleet = ShardFleet(shards=1, store_dir=str(tmp_path))
+        try:
+            for index in range(2):
+                fleet.submit(_request(index)).result(timeout=180)
+            store = fleet.health()["shards"]["shard-0"]["store"]
+        finally:
+            fleet.close()
+        assert store["max_entries"] == 7
+        assert store["disk_directory"] == str(tmp_path)
+        # Either disk bound at 1 keeps only the newest entry.
+        assert len(list(tmp_path.glob("result-*.json"))) == 1
+        assert store["disk_evictions"] == 1
+
+
 # ----------------------------------------------------------------------
 # Async front end over real HTTP
 # ----------------------------------------------------------------------

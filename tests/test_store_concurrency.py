@@ -1,14 +1,13 @@
-"""Multi-process hammering of the shared disk tiers.
+"""Multi-process hammering of the shared disk result tier.
 
-The shard fleet points every worker's :class:`ResultStore` (and,
-optionally, every worker's :class:`DiskEnergyCache`) at one directory,
-so eviction, mtime refresh, quarantine, and atomic replace all race
-across processes.  The contract under that contention is *degrade to a
-miss, never raise*: a reader losing a race with an evictor sees a miss,
-a reader catching a corrupt entry quarantines it, and a correct value is
-the only value a hit can return.
+The shard fleet points every worker's :class:`ResultStore` at one
+directory, so eviction, mtime refresh, quarantine, and atomic replace
+all race across processes.  The contract under that contention is
+*degrade to a miss, never raise*: a reader losing a race with an
+evictor sees a miss, a reader catching a corrupt entry quarantines it,
+and a correct value is the only value a hit can return.
 
-These tests hammer both tiers from several processes at once — puts,
+These tests hammer the tier from several processes at once — puts,
 gets, LRU eviction (bounds far below the working set), and a dedicated
 vandal process writing garbage over live entries — and fail if any
 process observes an exception or a wrong value.
@@ -19,7 +18,6 @@ import json
 import multiprocessing
 import os
 
-from repro.core.fast_pipeline import DiskEnergyCache
 from repro.service.store import ResultStore
 
 ROUNDS = int(os.environ.get("STORE_HAMMER_ROUNDS", "150"))
@@ -53,31 +51,8 @@ def _result_store_worker(directory, worker, rounds, failures):
         failures.put(f"worker {worker}: {type(error).__name__}: {error}")
 
 
-def _energy_cache_worker(directory, worker, rounds, failures):
-    try:
-        cache = DiskEnergyCache(directory, max_entries=6)
-        for round_index in range(rounds):
-            index = (round_index * (worker + 1)) % KEYS
-            key = _hash_key(index)
-            cache.store_canonical(key, {"term": float(index)})
-            found = cache.load_canonical(key)
-            if found is not None and found.get("term") != float(index):
-                failures.put(
-                    f"worker {worker}: wrong energies for key {index}: {found}"
-                )
-                return
-    except BaseException as error:  # noqa: BLE001 - the failure signal
-        failures.put(f"worker {worker}: {type(error).__name__}: {error}")
-
-
 def _result_entry_path(directory: str, index: int) -> str:
     return os.path.join(directory, f"result-{_hash_key(index)}.json")
-
-
-def _energy_entry_path(directory: str, index: int) -> str:
-    # DiskEnergyCache names entries by the sha256 of the canonical key.
-    digest = hashlib.sha256(_hash_key(index).encode("utf-8")).hexdigest()
-    return os.path.join(directory, f"energy-{digest}.json")
 
 
 def _vandal(directory, rounds, failures, path_fn):
@@ -141,22 +116,6 @@ class TestResultStoreConcurrency:
         # against a quiescent directory, so the bound holds (plus a
         # small slack for entries written after the last evictor ran).
         assert len(live) <= 6 + WORKERS
-
-
-class TestDiskEnergyCacheConcurrency:
-    def test_multiprocess_store_load_evict_never_raises(self, tmp_path):
-        _run_hammer(_energy_cache_worker, str(tmp_path))
-
-    def test_multiprocess_with_corrupting_writer(self, tmp_path):
-        _run_hammer(
-            _energy_cache_worker, str(tmp_path),
-            vandal_path_fn=_energy_entry_path,
-        )
-        cache = DiskEnergyCache(tmp_path)
-        for index in range(KEYS):
-            found = cache.load_canonical(_hash_key(index))
-            if found is not None:
-                assert found == {"term": float(index)}
 
 
 def test_quarantine_keeps_vandalised_entry_out_of_hits(tmp_path):

@@ -28,8 +28,7 @@ be derivation-irrelevant).
 
 :class:`TestTermCacheKeys` checks the key strings themselves: stable
 across processes, of bounded length, split by layer exactly where a term
-consumes the layer's statistics, served back through the disk tier, and
-never changing a derived matrix.
+consumes the layer's statistics, and never changing a derived matrix.
 """
 
 import dataclasses
@@ -44,7 +43,6 @@ import pytest
 from repro.architecture.macro import CiMMacro, CiMMacroConfig, OutputReuseStyle
 from repro.circuits.dac import DACType
 from repro.core.config_batch import AREA_COMPONENTS, DERIVED_ACTIONS, derive_config_batch
-from repro.core.fast_pipeline import DiskEnergyCache
 from repro.core.terms import (
     ACTION_TERMS,
     AREA_TERMS,
@@ -438,20 +436,19 @@ class TestTermCacheKeys:
                 energy_term_cache_key(spec, sub, long_context)
             )
 
-    def test_a_stored_term_is_a_disk_hit_for_a_fresh_cache(self, tmp_path):
-        """A key rebuilt from the spec, config and layer alone finds the
-        entry a derivation wrote (whole-family disk round trips are
-        ``tests/test_energy_cache.py``'s)."""
+    def test_a_key_rebuilt_from_spec_config_and_layer_finds_the_stored_term(self):
+        """The deriver stores each term under the key the spec, one config
+        and the layer alone rebuild."""
         layer = _distinct_layers()["base"]
         configs = _family()
-        writer = TermCache(disk=DiskEnergyCache(tmp_path))
-        derive_config_batch(configs, layer, term_cache=writer)
+        cache = TermCache()
+        derive_config_batch(configs, layer, term_cache=cache)
         context = layer_term_context(layer.fingerprint())
-        fresh = TermCache(disk=DiskEnergyCache(tmp_path))
+        hits = cache.hits
         for spec in ENERGY_TERMS:
             key = energy_term_cache_key(spec, term_key(spec, configs[0]), context)
-            assert fresh.lookup(key) is not None, key
-        assert fresh.disk_hits == fresh.misses == len(ENERGY_TERMS)
+            assert cache.lookup(key) is not None, key
+        assert cache.hits - hits == len(ENERGY_TERMS)
 
     @pytest.mark.parametrize("use_distributions", [True, False])
     def test_matrices_are_bitwise_equal_off_cold_and_warm(self, use_distributions):
