@@ -22,14 +22,12 @@ a small one so the path is exercised on every push; the
 derives-only-changed-terms gate holds at every size).
 """
 
-import json
 import os
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.architecture.macro import CiMMacro
 from repro.core.config_batch import (
@@ -44,7 +42,6 @@ from repro.macros.definitions import base_macro
 from repro.workloads.distributions import profile_layer
 from repro.workloads.networks import matrix_vector_workload
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIGS = 96
 NUM_CONFIGS = int(os.environ.get("CONFIG_DERIVATION_CONFIGS", str(DEFAULT_CONFIGS)))
 #: Smoke runs exercise the path and the equivalence gate only: single-round
@@ -116,9 +113,7 @@ def test_config_derivation_throughput(benchmark):
         "scalar_wall_s": scalar_s,
     }
     if FULL_SIZE:
-        (REPO_ROOT / "BENCH_config_derivation.json").write_text(
-            json.dumps(record, indent=2) + "\n"
-        )
+        write_record("BENCH_config_derivation.json", record)
     emit(
         "Config-axis batched per-action energy derivation",
         [
@@ -214,9 +209,7 @@ def test_warm_near_duplicate_family(benchmark):
         "warm_speedup": speedup,
     }
     if FULL_SIZE:
-        (REPO_ROOT / "BENCH_config_derivation_warm.json").write_text(
-            json.dumps(record, indent=2) + "\n"
-        )
+        write_record("BENCH_config_derivation_warm.json", record)
     emit(
         "Warm near-duplicate-family derivation (term cache)",
         [

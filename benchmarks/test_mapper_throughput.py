@@ -7,16 +7,13 @@ engines agree on the best mapping at equal seeds, and writes a
 trajectory of the mapper is tracked across commits.
 """
 
-import json
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.experiments.fig12 import fig12_mapspace
 from repro.mapping import batch_search, search_mappings
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 NUM_MAPPINGS = 5000
 SEED = 0
 
@@ -50,7 +47,7 @@ def test_mapper_throughput(benchmark):
         "batch_wall_s": batch_s,
         "scalar_wall_s": scalar_s,
     }
-    (REPO_ROOT / "BENCH_mapper.json").write_text(json.dumps(record, indent=2) + "\n")
+    write_record("BENCH_mapper.json", record)
     emit(
         "Mapper throughput (fig. 12 map space)",
         [

@@ -18,17 +18,14 @@ without timing the loaded runner; injection-count and quarantine asserts
 apply at full size only, where their expectations are far from zero).
 """
 
-import json
 import os
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.service.chaos import ChaosConfig, ChaosInjector
 from repro.service.replay import generate_trace, replay_coalesced, trace_profile
 from repro.service.store import ResultStore
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_REQUESTS = 1000
 NUM_REQUESTS = int(os.environ.get("SERVICE_CHAOS_REQUESTS", str(DEFAULT_REQUESTS)))
 FULL_SIZE = NUM_REQUESTS >= DEFAULT_REQUESTS
@@ -137,9 +134,7 @@ def test_service_chaos_replay(benchmark, tmp_path):
         "store_corrupt_entries": store.corrupt_entries,
     }
     if FULL_SIZE:
-        (REPO_ROOT / "BENCH_service_chaos.json").write_text(
-            json.dumps(record, indent=2) + "\n"
-        )
+        write_record("BENCH_service_chaos.json", record)
     emit(
         "Service chaos replay: fault injection vs fault-free baseline",
         [

@@ -17,16 +17,13 @@ asserting the zero-loss contract on every push without the full-size
 timing).
 """
 
-import json
 import os
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.service.chaos import ChaosConfig
 from repro.service.replay import generate_trace, replay_sharded, trace_profile
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_REQUESTS = 4000
 NUM_REQUESTS = int(
     os.environ.get("SERVICE_FLEET_CHAOS_REQUESTS", str(DEFAULT_REQUESTS))
@@ -139,9 +136,7 @@ def test_service_fleet_chaos_replay(benchmark, tmp_path):
         "fleet_status": health["status"],
     }
     if FULL_SIZE:
-        (REPO_ROOT / "BENCH_service_fleet_chaos.json").write_text(
-            json.dumps(record, indent=2) + "\n"
-        )
+        write_record("BENCH_service_fleet_chaos.json", record)
     emit(
         "Service fleet chaos: shard SIGKILLs mid-replay vs fault-free fleet",
         [

@@ -13,11 +13,9 @@ a small one so coalescing is asserted on every push without timing the
 loaded runner).
 """
 
-import json
 import os
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.service.replay import (
     generate_trace,
@@ -27,7 +25,6 @@ from repro.service.replay import (
     trace_profile,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_REQUESTS = 1000
 NUM_REQUESTS = int(os.environ.get("SERVICE_REPLAY_REQUESTS", str(DEFAULT_REQUESTS)))
 #: Smoke runs exercise coalescing and the equivalence gate only: timing
@@ -95,9 +92,7 @@ def test_service_replay_throughput(benchmark):
         "latency": latency,
     }
     if FULL_SIZE:
-        (REPO_ROOT / "BENCH_service.json").write_text(
-            json.dumps(record, indent=2) + "\n"
-        )
+        write_record("BENCH_service.json", record)
     emit(
         "Service replay: coalesced scheduler vs serial per-request evaluation",
         [

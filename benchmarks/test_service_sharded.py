@@ -17,11 +17,9 @@ fewer cores than shards the parallel speedup is physically unavailable
 (this container's 1-core runs record the ratio without gating on it).
 """
 
-import json
 import os
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.service.replay import (
     generate_trace,
@@ -31,7 +29,6 @@ from repro.service.replay import (
     trace_profile,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_REQUESTS = 4000
 NUM_REQUESTS = int(os.environ.get("SERVICE_SHARDED_REQUESTS", str(DEFAULT_REQUESTS)))
 SHARDS = int(os.environ.get("SERVICE_SHARDED_SHARDS", "4"))
@@ -108,9 +105,7 @@ def test_sharded_replay_matches_and_outruns_single_scheduler(benchmark):
         "latency_sharded": latency_percentiles(latencies),
     }
     if FULL_SIZE:
-        (REPO_ROOT / "BENCH_service_sharded.json").write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n"
-        )
+        write_record("BENCH_service_sharded.json", record, sort_keys=True)
     latency = record["latency_sharded"]
     emit(
         "Sharded replay: consistent-hash fleet vs single coalescing scheduler",

@@ -6,18 +6,15 @@ breakdowns agree to 1e-9 relative tolerance, and writes a
 ``BENCH_value_sim.json`` perf record at the repo root.
 """
 
-import json
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, write_record
 
 from repro.baselines.value_sim import ValueLevelSimulator
 from repro.plugins import NeuroSimPlugin
 from repro.workloads import resnet18
 from repro.workloads.distributions import profile_layer
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 MAX_VECTORS = 32
 
 
@@ -54,7 +51,7 @@ def test_value_sim_throughput(benchmark):
         "vectorized_wall_s": fast_s,
         "loop_wall_s": loop_s,
     }
-    (REPO_ROOT / "BENCH_value_sim.json").write_text(json.dumps(record, indent=2) + "\n")
+    write_record("BENCH_value_sim.json", record)
     emit(
         f"Value-simulator throughput ({layer.name}, {MAX_VECTORS} vectors)",
         [

@@ -57,7 +57,7 @@ def sweep_array_sizes(network: Network) -> None:
         system_configs, network, distributions=distributions, default_profiled=True
     )
     cache = process_energy_cache()
-    print(f"   ({cache.derivations} per-action tables derived once, "
+    print(f"   ({cache.misses} per-action tables derived once, "
           f"{cache.hits} cache hits so far)")
     for size, macro_result, system_result in zip(sizes, macro_results, system_results):
         utilisation = sum(l.utilization * l.total_macs for l in macro_result.layers) / \

@@ -89,7 +89,8 @@ class PerActionEnergyCache:
     Access is serialised by a lock so a cache can be shared by concurrent
     sweep threads with exact hit/miss accounting.
 
-    ``derivations`` counts energy-model computations: one per miss.
+    Every miss derives its table exactly once, so ``misses`` also counts
+    the energy-model computations.
 
     When a term-granular cache (``terms``) is attached, bulk derivations
     that miss the full-table entries still reuse per-component terms
@@ -101,7 +102,6 @@ class PerActionEnergyCache:
     _entries: Dict[CacheKey, Dict[str, float]] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-    derivations: int = 0
     terms: Optional[TermCache] = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -123,7 +123,6 @@ class PerActionEnergyCache:
                 self.hits += 1
                 return self._entries[key]
             self.misses += 1
-            self.derivations += 1
             if distributions is None:
                 distributions = profile_layer(layer)
             context = macro.operand_context(distributions)
@@ -145,7 +144,7 @@ class PerActionEnergyCache:
         (:func:`repro.core.config_batch.derive_config_batch`) instead of
         one scalar macro walk per config, then stored exactly like
         :meth:`get` derivations.  Accounting matches the scalar path entry
-        for entry: every returned table was either a hit or a derivation.
+        for entry: every returned table was either a hit or a miss.
 
         ``distributions`` maps layer names to profiles (as
         ``profile_network`` produces); absent layers are profiled with
@@ -193,7 +192,6 @@ class PerActionEnergyCache:
                     cell_library=cell_library,
                     term_cache=self.terms,
                 )
-                self.derivations += len(unique)
                 derived = [batch.per_action(position) for position in range(len(unique))]
                 for config, position in unique.items():
                     self._entries[(config, fingerprint)] = derived[position]
@@ -222,7 +220,6 @@ class PerActionEnergyCache:
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
-                "derivations": self.derivations,
                 "term_tier": self.terms.stats() if self.terms is not None else None,
             }
 
@@ -232,7 +229,6 @@ class PerActionEnergyCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
-            self.derivations = 0
             if self.terms is not None:
                 self.terms.invalidate()
 

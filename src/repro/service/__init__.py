@@ -23,6 +23,8 @@ Layers (one module each):
   in-process scheduler or the shard fleet.
 * :mod:`repro.service.faults` — the service's own failures (missed
   deadline, shutdown, shed queue, fleet below quorum).
+* :mod:`repro.service.settings` — the one settings surface: every
+  deployment setting, read from the environment once.
 * :mod:`repro.service.chaos` — deterministic, seedable fault injection
   at the real fault sites (corrupt store entries, shard kills, corrupt
   frames).

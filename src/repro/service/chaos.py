@@ -25,11 +25,11 @@ faults at the same points.
 The injector is wired in three ways: passed to
 :class:`~repro.service.scheduler.EvaluationScheduler` or
 :func:`~repro.service.replay.replay_sharded` directly, via ``replay
---chaos`` on the CLI, or ambiently: ``REPRO_CHAOS=1`` arms store
-corruption in every scheduler that was not given an injector (shard
-workers included, since they inherit the environment), at the rate of
-``REPRO_CHAOS_CORRUPT_ENTRY`` (default: the :meth:`ChaosConfig.preset`
-rate) and with the seed of ``REPRO_CHAOS_SEED``.
+--chaos`` on the CLI, or ambiently: the ``chaos`` field of a
+deployment's :class:`~repro.service.settings.ServiceSettings` (the
+settings module names its environment variables) arms store corruption
+in every scheduler built from those settings, a fleet's workers
+included.
 """
 
 from __future__ import annotations
@@ -39,27 +39,34 @@ import random
 import signal
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.utils.env import env_positive_int, env_probability
-
-CHAOS_ENV = "REPRO_CHAOS"
-CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
-CHAOS_CORRUPT_ENTRY_ENV = "REPRO_CHAOS_CORRUPT_ENTRY"
-
-#: The preset's store-corruption rate (per store write), which
-#: ``REPRO_CHAOS=1`` applies unless ``REPRO_CHAOS_CORRUPT_ENTRY`` is set.
+#: The preset's store-corruption rate (per store write), which ambient
+#: chaos also applies unless its settings name another rate.
 PRESET_CORRUPT_ENTRY = 0.15
 
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Injection rates of every fault site, plus the seed."""
+    """Injection rates of every fault site, plus the seed.  A negative
+    seed or kill count, or a rate outside [0, 1], raises
+    :class:`ValueError` (the ambient-chaos variables meet the same rule)."""
 
     seed: int = 0
     corrupt_entry: float = 0.0
     kills: int = 0
     frame_corrupt: float = 0.0
+
+    def __post_init__(self) -> None:
+        # A bool is no number here, and NaN compares false: both refused.
+        for name in ("seed", "kills"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"chaos {name} must be an integer >= 0, got {value!r}")
+        for name in ("corrupt_entry", "frame_corrupt"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+                raise ValueError(f"chaos {name} must be a probability in [0, 1], got {value!r}")
 
     @classmethod
     def preset(cls, seed: int = 0, kills: int = 0) -> "ChaosConfig":
@@ -69,21 +76,6 @@ class ChaosConfig:
         kills plus a low rate of frame corruption."""
         return cls(
             seed=seed, corrupt_entry=PRESET_CORRUPT_ENTRY, kills=kills, frame_corrupt=0.002
-        )
-
-    @classmethod
-    def from_env(cls) -> Optional["ChaosConfig"]:
-        """The ambient store-corruption profile, or None unless
-        ``REPRO_CHAOS`` is on."""
-        flag = os.environ.get(CHAOS_ENV, "").strip().lower()
-        if flag not in {"1", "on", "yes", "true"}:
-            return None
-        corrupt_entry = env_probability(CHAOS_CORRUPT_ENTRY_ENV)
-        return cls(
-            seed=env_positive_int(CHAOS_SEED_ENV, minimum=0) or 0,
-            corrupt_entry=(
-                PRESET_CORRUPT_ENTRY if corrupt_entry is None else corrupt_entry
-            ),
         )
 
 
@@ -114,11 +106,6 @@ class ChaosInjector:
         self.injected_corruptions = 0
         self.injected_shard_kills = 0
         self.injected_frame_corruptions = 0
-
-    @classmethod
-    def from_env(cls) -> Optional["ChaosInjector"]:
-        config = ChaosConfig.from_env()
-        return cls(config) if config is not None else None
 
     # ------------------------------------------------------------------
     # Store site (called by the scheduler)

@@ -9,7 +9,9 @@ Commands
     only multi-process path: the same async front end routing over a
     consistent-hash ring to ``N`` scheduler worker processes.
     ``--store-dir`` names the disk result tier in both modes (shared by
-    every worker of a fleet).
+    every worker of a fleet).  ``--max-pending`` and ``--store-dir``
+    replace their deployment setting (:mod:`repro.service.settings`); a
+    value the settings refuse exits 2.
 ``submit``
     Send one request to a running service (``--url``) or evaluate it
     in-process (``--local``).  The request comes from ``--file`` (JSON,
@@ -29,7 +31,8 @@ Commands
     fleet instead, reporting the merged fleet health; combined with
     ``--chaos`` the faults move up a level (``--chaos-kills`` shard
     SIGKILLs mid-replay plus frame corruption) and the supervised fleet
-    must still return every result.
+    must still return every result.  A chaos seed or kill count the
+    config refuses (below 0) exits 2.
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--max-pending", type=int, default=None,
-                       help="bound the pending queue; excess requests are "
-                            "shed with HTTP 429 + Retry-After "
+                       help="bound the pending queue (at least 1); excess "
+                            "requests are shed with HTTP 429 + Retry-After "
                             "(default: REPRO_SERVICE_MAX_PENDING, else unbounded)")
     serve.add_argument("--shards", type=int, default=0,
                        help="serve the sharded deployment: async front end "
@@ -133,24 +136,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_serve(args) -> int:
     import signal
+    from dataclasses import replace
 
+    from repro.service.settings import ServiceSettings
+
+    flags = {"max_pending": args.max_pending, "store_dir": args.store_dir}
+    try:
+        settings = replace(ServiceSettings.from_env(),
+                           **{name: v for name, v in flags.items() if v is not None})
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.shards > 0:
-        from repro.service.shard import serve_sharded
+        from repro.service.shard import ShardFleet, serve_sharded
 
-        frontend = serve_sharded(
-            host=args.host, port=args.port, shards=args.shards,
-            store_dir=args.store_dir, max_pending=args.max_pending,
-        )
+        frontend = serve_sharded(host=args.host, port=args.port,
+                                 fleet=ShardFleet(shards=args.shards, settings=settings))
         mode, detail = " (sharded)", f"shards={args.shards}"
     else:
         from repro.service.http import serve
         from repro.service.scheduler import EvaluationScheduler
-        from repro.service.store import ResultStore
 
-        frontend = serve(args.host, args.port, scheduler=EvaluationScheduler(
-            store=ResultStore.from_env(args.store_dir),
-            max_pending=args.max_pending,
-        ))
+        frontend = serve(args.host, args.port,
+                         scheduler=EvaluationScheduler(settings=settings))
         mode, detail = "", "single process"
     frontend.verbose = args.verbose
     backend = frontend.handler.backend
@@ -254,6 +262,15 @@ def _cmd_replay(args) -> int:
         trace_profile,
     )
 
+    chaos = None
+    if args.chaos:
+        from repro.service.chaos import ChaosConfig
+
+        try:
+            chaos = ChaosConfig.preset(seed=args.chaos_seed, kills=args.chaos_kills)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     trace = load_trace(args.trace)
     report = dict(trace_profile(trace))
     if args.serial:
@@ -261,28 +278,16 @@ def _cmd_replay(args) -> int:
         report.update(mode="serial", wall_s=elapsed,
                       requests_per_s=len(trace) / elapsed if elapsed else 0.0)
     elif args.shards > 0:
-        fleet_chaos = None
-        if args.chaos:
-            from repro.service.chaos import ChaosConfig
-
-            fleet_chaos = ChaosConfig.preset(
-                seed=args.chaos_seed, kills=args.chaos_kills
-            )
         _, elapsed, health, latencies = replay_sharded(
             trace, shards=args.shards,
             window=args.window, store_dir=args.store_dir,
-            fleet_chaos=fleet_chaos,
+            fleet_chaos=chaos,
         )
         report.update(mode="sharded", shards=args.shards, wall_s=elapsed,
                       requests_per_s=len(trace) / elapsed if elapsed else 0.0,
                       latency=latency_percentiles(latencies),
                       fleet=health)
     else:
-        chaos = None
-        if args.chaos:
-            from repro.service.chaos import ChaosConfig, ChaosInjector
-
-            chaos = ChaosInjector(ChaosConfig.preset(seed=args.chaos_seed))
         _, elapsed, scheduler, latencies = replay_coalesced(
             trace, window=args.window, chaos=chaos
         )
@@ -291,7 +296,7 @@ def _cmd_replay(args) -> int:
                       latency=latency_percentiles(latencies),
                       scheduler=scheduler.stats.as_dict())
         if chaos is not None:
-            report["chaos"] = chaos.stats()
+            report["chaos"] = scheduler.chaos.stats()
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

@@ -9,17 +9,13 @@ with the model's own error.  The faults here are the service's verdicts
 about a request — it missed its deadline, arrived at a closed
 scheduler, was shed by the bounded queue, or met a fleet below quorum —
 and the HTTP front end answers each with a status of its own
-(:data:`repro.service.http.FAULT_STATUS`).
-
-Environment knob (optional, parsed by the scheduler at construction):
-``REPRO_SERVICE_MAX_PENDING`` bounds the pending queue.
+(:data:`repro.service.http.FAULT_STATUS`).  Both bounds are deployment
+settings (:mod:`repro.service.settings`).
 """
 
 from __future__ import annotations
 
 from repro.utils.errors import CiMLoopError
-
-MAX_PENDING_ENV = "REPRO_SERVICE_MAX_PENDING"
 
 
 class FaultError(CiMLoopError):

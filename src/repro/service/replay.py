@@ -22,11 +22,13 @@ import math
 import random
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.service.requests import EvaluationRequest
 from repro.service.scheduler import EvaluationScheduler
+from repro.service.settings import ServiceSettings
 from repro.service.store import ResultStore
 
 #: Workloads the synthetic trace spreads its families over (distinct
@@ -303,7 +305,8 @@ def replay_sharded(
         if store_dir is None:
             tempdir = tempfile.TemporaryDirectory(prefix="repro-shard-replay-")
             store_dir = tempdir.name
-        fleet = ShardFleet(shards=shards, store_dir=str(store_dir), cold_start=cold_start)
+        fleet = ShardFleet(shards=shards, cold_start=cold_start, settings=replace(
+            ServiceSettings.from_env(), store_dir=str(store_dir)))
         if supervise:
             supervisor = FleetSupervisor(fleet).start()
     if injector is not None:

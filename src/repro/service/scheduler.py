@@ -50,6 +50,9 @@ Failure handling (the service's own faults are in
 * A bounded pending queue (``max_pending``) sheds load at submission
   with :class:`~repro.service.faults.QueueFullError` (HTTP 429).
 
+The store, ``max_pending`` and ambient chaos come from the scheduler's
+settings (:mod:`repro.service.settings`), which ``/healthz`` shows.
+
 Two consumption styles share the machinery: :meth:`submit` +
 :meth:`run_pending` give explicit control (the replay driver and tests
 tick by hand), while :meth:`start` runs a background dispatcher thread
@@ -73,15 +76,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.batch import BatchRunner, process_energy_cache
 from repro.service.chaos import ChaosConfig, ChaosInjector
-from repro.service.faults import (
-    MAX_PENDING_ENV,
-    DeadlineExceeded,
-    QueueFullError,
-    ShutdownError,
-)
+from repro.service.faults import DeadlineExceeded, QueueFullError, ShutdownError
 from repro.service.requests import EvaluationRequest
+from repro.service.settings import ServiceSettings
 from repro.service.store import ResultStore
-from repro.utils.env import env_positive_int
 
 #: Seconds the background dispatcher waits after the first pending request
 #: so concurrent arrivals coalesce into the same tick.
@@ -276,28 +274,23 @@ class EvaluationScheduler:
         self,
         store: Optional[ResultStore] = None,
         coalesce_window_s: float = DEFAULT_COALESCE_WINDOW_S,
-        max_pending: Optional[int] = None,
         chaos: Optional[object] = None,
+        settings: Optional[ServiceSettings] = None,
     ):
-        # The default store honours the REPRO_RESULT_STORE_* environment
-        # knobs (disk tier, LRU bound).
-        self.store = store if store is not None else ResultStore.from_env()
+        self.settings = settings if settings is not None else ServiceSettings.from_env()
+        self.store = store if store is not None else ResultStore.from_settings(self.settings)
         # Evaluation runs in this process: scale-out across processes is
         # the shard fleet's job (repro.service.shard), not a pool's.
         self.runner = BatchRunner(workers=1)
         self.stats = SchedulerStats()
         self.coalesce_window_s = coalesce_window_s
-        # Admission bound: the explicit argument wins, then the
-        # REPRO_SERVICE_MAX_PENDING environment knob (unbounded without).
-        self.max_pending = (
-            max_pending if max_pending is not None else env_positive_int(MAX_PENDING_ENV)
-        )
+        self.max_pending = self.settings.max_pending
         # The last-resort per-request rescue path; an instance attribute
         # so tests (and future shards) can substitute their own oracle.
         self.scalar_fallback = evaluate_scalar
         if chaos is None:
-            chaos = ChaosInjector.from_env()
-        elif isinstance(chaos, ChaosConfig):
+            chaos = self.settings.chaos
+        if isinstance(chaos, ChaosConfig):
             chaos = ChaosInjector(chaos)
         self.chaos: Optional[ChaosInjector] = chaos
         self._pending: "Dict[str, _Pending]" = {}
@@ -841,6 +834,7 @@ class EvaluationScheduler:
             "scheduler": stats,
             "store": self.store.stats(),
             "energy_cache": process_energy_cache().stats(),
+            "settings": self.settings.as_dict(),
         }
         if self.chaos is not None:
             payload["chaos"] = self.chaos.stats()

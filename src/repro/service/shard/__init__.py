@@ -27,9 +27,10 @@ each in its own process, behind that same front end:
 Quickstart::
 
     from repro.service import EvaluationRequest
+    from repro.service.settings import ServiceSettings
     from repro.service.shard import ShardFleet
 
-    fleet = ShardFleet(shards=4, store_dir="/tmp/results")
+    fleet = ShardFleet(shards=4, settings=ServiceSettings(store_dir="/tmp/results"))
     future = fleet.submit(EvaluationRequest(
         macro="macro_b", workload="mvm_64x64", objective="energy",
     ))

@@ -40,7 +40,8 @@ process from a fleet.  What is particular to the fleet lives here:
   worker is respawned under the same shard id — identical ring
   placement — while a restart budget and a quorum floor bound how much
   failure the fleet absorbs before refusing new work with
-  :class:`~repro.service.faults.FleetDegradedError`.
+  :class:`~repro.service.faults.FleetDegradedError`, all as the fleet's
+  settings (:mod:`repro.service.settings`) say.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from repro.service.faults import FleetDegradedError
 from repro.service.http import AsyncFrontend, EvaluationServiceHandler, Exchange
 from repro.service.shard.protocol import RemoteFault
 from repro.service.shard.worker import ShardFleet
-from repro.utils.env import env_positive_float, env_positive_int
 
 
 class FleetServiceHandler(EvaluationServiceHandler):
@@ -100,20 +100,6 @@ class FleetServiceHandler(EvaluationServiceHandler):
             super()._route(exchange)
 
 
-HEARTBEAT_TIMEOUT_ENV = "REPRO_FLEET_HEARTBEAT_TIMEOUT_S"
-RESTART_BUDGET_ENV = "REPRO_FLEET_RESTART_BUDGET"
-QUORUM_ENV = "REPRO_FLEET_QUORUM"
-
-#: Default failure-detector timeout, in heartbeat intervals: a shard is
-#: declared dead after missing this many consecutive beats.
-DEFAULT_TIMEOUT_INTERVALS = 8
-
-#: Default respawn budget across the supervisor's lifetime.
-DEFAULT_RESTART_BUDGET = 16
-
-#: Default quorum: the fleet only refuses work with zero live shards.
-DEFAULT_MIN_QUORUM = 1
-
 #: How many shard deaths one op survives before its future is failed —
 #: a backstop against a pathological fleet where every shard an op
 #: lands on dies; in practice one re-dispatch resolves it.
@@ -125,7 +111,7 @@ class FleetSupervisor:
 
     One monitor thread sweeps the serving shards every fraction of the
     heartbeat timeout; a shard whose last beat is older than
-    ``heartbeat_timeout_s`` is declared dead **without waiting for
+    ``detector_timeout_s`` is declared dead **without waiting for
     channel EOF** — detection latency is bounded by the timeout even
     when the worker is hung or SIGSTOPped and its socket stays open.
     Channel EOFs (the fast path for a SIGKILL) feed the same recovery
@@ -141,40 +127,22 @@ class FleetSupervisor:
     re-dispatches on the updated ring under its original future.  When
     live membership falls below ``min_quorum`` the fleet is marked
     degraded: submits fail fast with :class:`FleetDegradedError` until
-    a respawn or live add restores quorum.
+    a respawn or live add restores quorum.  A ``restart_budget`` of 0
+    recovers in-flight work but never respawns.
 
-    Env knobs: ``REPRO_FLEET_HEARTBEAT_TIMEOUT_S``,
-    ``REPRO_FLEET_RESTART_BUDGET``, ``REPRO_FLEET_QUORUM``.
+    The supervisor takes the fleet's own settings, so the detector times
+    the heartbeats its workers send.
     """
 
-    def __init__(
-        self,
-        fleet: ShardFleet,
-        heartbeat_timeout_s: Optional[float] = None,
-        restart_budget: Optional[int] = None,
-        min_quorum: Optional[int] = None,
-        respawn: bool = True,
-    ):
+    def __init__(self, fleet: ShardFleet, respawn: bool = True):
         self.fleet = fleet
-        if heartbeat_timeout_s is None:
-            heartbeat_timeout_s = env_positive_float(HEARTBEAT_TIMEOUT_ENV) or (
-                DEFAULT_TIMEOUT_INTERVALS * fleet.heartbeat_interval_s
-            )
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        if restart_budget is None:
-            # 0 is a valid budget: recover in-flight work, never respawn.
-            restart_budget = env_positive_int(RESTART_BUDGET_ENV, minimum=0)
-            if restart_budget is None:
-                restart_budget = DEFAULT_RESTART_BUDGET
-        self.restart_budget = restart_budget
-        if min_quorum is None:
-            min_quorum = env_positive_int(QUORUM_ENV) or DEFAULT_MIN_QUORUM
-        self.min_quorum = max(1, min_quorum)
+        self.settings = fleet.settings
+        self.heartbeat_timeout_s = self.settings.detector_timeout_s
         self.respawn = respawn
         self._check_interval = max(0.01, min(
-            heartbeat_timeout_s / 4.0, fleet.heartbeat_interval_s
+            self.heartbeat_timeout_s / 4.0, self.settings.heartbeat_interval_s
         ))
-        self._suspect_after_s = heartbeat_timeout_s / 2.0
+        self._suspect_after_s = self.heartbeat_timeout_s / 2.0
         self._lock = threading.Lock()
         self._states: Dict[str, str] = {}
         self._restarts: Dict[str, int] = {}
@@ -266,7 +234,7 @@ class FleetSupervisor:
         respawned = False
         if not was_draining and self.respawn and not self._stop.is_set():
             with self._lock:
-                under_budget = self.restarts_used < self.restart_budget
+                under_budget = self.restarts_used < self.settings.restart_budget
                 if under_budget:
                     self.restarts_used += 1
                     self._restarts[shard_id] = self._restarts.get(shard_id, 0) + 1
@@ -279,10 +247,10 @@ class FleetSupervisor:
                 except Exception:  # noqa: BLE001 - respawn is best-effort
                     respawned = False
         live = len(self.fleet.members())
-        if live < self.min_quorum:
+        if live < self.settings.min_quorum:
             self.fleet.mark_degraded(
                 f"fleet degraded: {live} live shard(s) below quorum "
-                f"{self.min_quorum} after losing {shard_id} ({reason})"
+                f"{self.settings.min_quorum} after losing {shard_id} ({reason})"
             )
         else:
             self.fleet.clear_degraded()
@@ -361,10 +329,10 @@ class FleetSupervisor:
     def stats_payload(self) -> Dict:
         with self._lock:
             return {
-                "heartbeat_interval_s": self.fleet.heartbeat_interval_s,
+                "heartbeat_interval_s": self.settings.heartbeat_interval_s,
                 "heartbeat_timeout_s": self.heartbeat_timeout_s,
-                "min_quorum": self.min_quorum,
-                "restart_budget": self.restart_budget,
+                "min_quorum": self.settings.min_quorum,
+                "restart_budget": self.settings.restart_budget,
                 "restarts_used": self.restarts_used,
                 "detected_failures": self.detected_failures,
                 "redispatched_ops": self.redispatched_ops,
@@ -378,8 +346,6 @@ def serve_sharded(
     host: str = "127.0.0.1",
     port: int = 8080,
     shards: int = 2,
-    store_dir: Optional[str] = None,
-    max_pending: Optional[int] = None,
     fleet: Optional[ShardFleet] = None,
     supervise: bool = True,
 ) -> AsyncFrontend:
@@ -388,13 +354,12 @@ def serve_sharded(
     The caller owns both loops: ``frontend.serve_forever()`` (the CLI
     does) or ``frontend.start()`` from tests, then ``fleet.close()`` and
     ``shutdown()`` when done (the fleet is ``frontend.handler.backend``).
-    Unless ``supervise`` is off, a :class:`FleetSupervisor` is attached
-    (env-tuned) so shard crashes self-heal instead of stranding in-flight
-    requests.
+    Without a ``fleet``, one of ``shards`` workers is built from the
+    environment's settings.  Unless ``supervise`` is off, a
+    :class:`FleetSupervisor` is attached so shard crashes self-heal
+    instead of stranding in-flight requests.
     """
-    fleet = fleet if fleet is not None else ShardFleet(
-        shards=shards, store_dir=store_dir, max_pending=max_pending,
-    )
+    fleet = fleet if fleet is not None else ShardFleet(shards=shards)
     if supervise and fleet.supervisor is None:
         FleetSupervisor(fleet).start()
     return AsyncFrontend(FleetServiceHandler(fleet), host=host, port=port)

@@ -2,15 +2,15 @@
 
 A *shard worker* is the single-process evaluation service wrapped in a
 child process: its own coalescing scheduler (with the full fault
-pipeline — isolation, scalar rescue, deadlines, admission — and store
-chaos via the usual ``REPRO_CHAOS`` knobs), evaluating in its own
-process, and a :class:`~repro.service.store.ResultStore` whose **disk
-tier is shared** across the fleet — every worker points at the same
-directory, writes are atomic and content-addressed, so any worker serves
-any hash the fleet has ever computed.  The worker builds that store with
-:meth:`ResultStore.from_env`, only the directory taken from the fleet, so
-the ``REPRO_RESULT_STORE_*`` bounds hold in a worker as in one process.
-Energy tables and terms stay in each worker's memory.
+pipeline — isolation, scalar rescue, deadlines, admission — and ambient
+store chaos), evaluating in its own process, and a
+:class:`~repro.service.store.ResultStore` whose **disk tier is shared**
+across the fleet — every worker points at the same directory, writes are
+atomic and content-addressed, so any worker serves any hash the fleet
+has ever computed.  Every worker builds its scheduler and store from
+the fleet's settings (:mod:`repro.service.settings`), shipped in its
+spawn options, never from its inherited environment.  Energy tables and
+terms stay in each worker's memory.
 
 Three layers live here:
 
@@ -32,7 +32,7 @@ Three layers live here:
 * :class:`ShardFleet` — N workers behind a
   :class:`~repro.service.shard.ring.HashRing`, plus the **parent tier**:
   a memory-only :class:`~repro.service.store.ResultStore` in the parent
-  process (bounded by ``REPRO_RESULT_STORE_MAX_ENTRIES``; it reads no
+  process (bounded by the settings' ``store_max_entries``; it reads no
   disk and writes none, the workers own the shared disk tier) that every
   evaluate result enters once it passed the hash-echo check.
   ``stored`` answers hits from it before anything is routed, so the HTTP
@@ -67,6 +67,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.faults import FleetDegradedError
 from repro.service.requests import EvaluationRequest, ServiceError
+from repro.service.settings import ServiceSettings
 from repro.service.shard.protocol import (
     HEARTBEAT_ID,
     READY_ID,
@@ -79,21 +80,13 @@ from repro.service.shard.protocol import (
     remote_fault,
 )
 from repro.service.shard.ring import DEFAULT_REPLICAS, HashRing, RingEmptyError
-from repro.service.store import DEFAULT_MAX_ENTRIES, RESULT_STORE_MAX_ENTRIES_ENV, ResultStore
-from repro.utils.env import env_positive_float, env_positive_int
+from repro.service.store import ResultStore
 
 #: Seconds the parent waits for a freshly-forked worker's ready frame.
 DEFAULT_READY_TIMEOUT_S = 60.0
 
 #: Seconds a drain waits for in-flight work before forcing shutdown.
 DEFAULT_DRAIN_TIMEOUT_S = 120.0
-
-#: Seconds between worker heartbeat frames.  The failure detector's
-#: timeout is expressed in multiples of this (see
-#: :class:`~repro.service.shard.frontend.FleetSupervisor`).
-DEFAULT_HEARTBEAT_INTERVAL_S = 0.25
-
-HEARTBEAT_INTERVAL_ENV = "REPRO_FLEET_HEARTBEAT_INTERVAL_S"
 
 #: How many times the fleet's submit path re-routes a hash whose chosen
 #: shard died between routing and dispatch before declaring the fleet
@@ -195,8 +188,8 @@ def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
     replies to evaluated work are sent from future done-callbacks
     (scheduler dispatcher thread), so a slow evaluation never blocks
     later arrivals from joining the scheduler's coalescing window.  A
-    heartbeat thread beats every ``heartbeat_interval_s`` independently
-    of evaluation load.
+    heartbeat thread beats every ``heartbeat_interval_s`` of the fleet's
+    settings (which build the scheduler too), whatever the load.
     """
     from repro.core.batch import process_energy_cache
     from repro.service.scheduler import EvaluationScheduler
@@ -212,10 +205,7 @@ def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
         # cache; benchmarks comparing cold sharded vs cold single-process
         # replays need genuinely cold workers.
         process_energy_cache().invalidate()
-    scheduler_kwargs: Dict = {
-        "store": ResultStore.from_env(options.get("store_dir")),
-        "max_pending": options.get("max_pending"),
-    }
+    scheduler_kwargs: Dict = {"settings": options["settings"]}
     if options.get("coalesce_window_s") is not None:
         scheduler_kwargs["coalesce_window_s"] = options["coalesce_window_s"]
     scheduler = EvaluationScheduler(**scheduler_kwargs)
@@ -259,9 +249,7 @@ def _worker_main(conn: socket.socket, shard_id: str, options: Dict) -> None:
     # Heartbeats: liveness decoupled from evaluation — a worker stuck in
     # a long dispatch still beats, a SIGKILLed/SIGSTOPped one goes quiet
     # and the parent's detector fires within its configured timeout.
-    interval = float(
-        options.get("heartbeat_interval_s") or DEFAULT_HEARTBEAT_INTERVAL_S
-    )
+    interval = scheduler.settings.heartbeat_interval_s
     beat_stop = threading.Event()
 
     def _heartbeat_loop() -> None:
@@ -683,20 +671,15 @@ class ShardFleet:
     def __init__(
         self,
         shards: int = 2,
-        store_dir: Optional[str] = None,
         replicas: int = DEFAULT_REPLICAS,
-        max_pending: Optional[int] = None,
         coalesce_window_s: Optional[float] = None,
         cold_start: bool = False,
-        heartbeat_interval_s: Optional[float] = None,
+        settings: Optional[ServiceSettings] = None,
     ):
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
-        if heartbeat_interval_s is None:
-            heartbeat_interval_s = (
-                env_positive_float(HEARTBEAT_INTERVAL_ENV) or DEFAULT_HEARTBEAT_INTERVAL_S
-            )
-        self.heartbeat_interval_s = heartbeat_interval_s
+        #: Every worker and the supervisor take these settings.
+        self.settings = settings if settings is not None else ServiceSettings.from_env()
         self.ring = HashRing(replicas)
         self.clients: Dict[str, ShardClient] = {}
         self.retired: List[Dict] = []
@@ -718,15 +701,11 @@ class ShardFleet:
         self.coalesced = 0
         #: The parent tier: memory only (the workers own the disk tier),
         #: filled by every shard client's checked evaluate results.
-        self.store = ResultStore(
-            max_entries=env_positive_int(RESULT_STORE_MAX_ENTRIES_ENV) or DEFAULT_MAX_ENTRIES
-        )
+        self.store = ResultStore(max_entries=self.settings.store_max_entries)
         self._options: Dict = {
-            "store_dir": str(store_dir) if store_dir else None,
-            "max_pending": max_pending,
+            "settings": self.settings,
             "coalesce_window_s": coalesce_window_s,
             "cold_start": cold_start,
-            "heartbeat_interval_s": heartbeat_interval_s,
         }
         for _ in range(shards):
             self.add_shard()
@@ -765,7 +744,7 @@ class ShardFleet:
             if (
                 self._degraded
                 and supervisor is not None
-                and len(self.ring) >= supervisor.min_quorum
+                and len(self.ring) >= supervisor.settings.min_quorum
             ):
                 # A live add restored quorum: reopen admission.
                 self._degraded = None
@@ -1071,7 +1050,7 @@ class ShardFleet:
                 "last_heartbeat_age_s": age,
                 "heartbeats_received": client.heartbeats_received,
                 "consecutive_misses": (
-                    int(age / self.heartbeat_interval_s) if age else 0
+                    int(age / self.settings.heartbeat_interval_s) if age else 0
                 ),
                 "restarts": 0,
                 "protocol_errors": client.protocol_errors,
@@ -1096,7 +1075,7 @@ class ShardFleet:
             except Exception:  # noqa: BLE001 - a lost shard is reportable
                 payloads[shard_id] = {"status": "lost", "shard": shard_id}
         supervisor = self.supervisor
-        return merge_health(
+        payload = merge_health(
             payloads, self.ring.members(), draining, list(self.retired),
             liveness=self.liveness(),
             supervisor=(
@@ -1105,6 +1084,8 @@ class ShardFleet:
             coalesced=self.coalesced,
             frontend_store=self.store.stats(),
         )
+        payload["settings"] = self.settings.as_dict()
+        return payload
 
     def close(self) -> None:
         """Drain every shard (idempotent); no request is ever dropped."""

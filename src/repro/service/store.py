@@ -28,12 +28,10 @@ eviction or a :meth:`ResultStore.forget` of the hash drops them too.
 waits on the disk for it), and a request it misses is looked up — and
 counted — once more, by the submission that follows.
 
-Environment knobs, read by :meth:`ResultStore.from_env`:
-``REPRO_RESULT_STORE_DIR`` enables the disk tier (a ``--store-dir``
-given to ``serve`` or a fleet takes its place),
-``REPRO_RESULT_STORE_MAX_ENTRIES`` bounds the in-memory LRU, and
-``REPRO_RESULT_STORE_DISK_MAX_ENTRIES`` /
-``REPRO_RESULT_STORE_DISK_MAX_BYTES`` bound the disk tier.
+:meth:`ResultStore.from_settings` builds the store one deployment's
+:class:`~repro.service.settings.ServiceSettings` describe: its
+``store_dir`` (the disk tier, off without one) and the bounds of both
+tiers.
 """
 
 from __future__ import annotations
@@ -46,13 +44,6 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional, Union
-
-from repro.utils.env import env_positive_int
-
-RESULT_STORE_DIR_ENV = "REPRO_RESULT_STORE_DIR"
-RESULT_STORE_MAX_ENTRIES_ENV = "REPRO_RESULT_STORE_MAX_ENTRIES"
-RESULT_STORE_DISK_MAX_ENTRIES_ENV = "REPRO_RESULT_STORE_DISK_MAX_ENTRIES"
-RESULT_STORE_DISK_MAX_BYTES_ENV = "REPRO_RESULT_STORE_DISK_MAX_BYTES"
 
 DEFAULT_MAX_ENTRIES = 4096
 
@@ -102,30 +93,24 @@ class ResultStore:
         self.corrupt_entries = 0
 
     @classmethod
-    def from_env(cls, directory: Optional[Union[str, Path]] = None) -> "ResultStore":
-        """The store configured by the environment (disk tier opt-in).
-
-        A non-empty ``directory`` (a ``--store-dir``) replaces
-        ``REPRO_RESULT_STORE_DIR``; the bounds are read from the
-        environment either way, so one deployment's store is built the
-        same in every process.
-        """
-        directory = directory or os.environ.get(RESULT_STORE_DIR_ENV, "").strip() or None
-        max_entries = env_positive_int(RESULT_STORE_MAX_ENTRIES_ENV)
+    def from_settings(cls, settings) -> "ResultStore":
+        """The store a :class:`~repro.service.settings.ServiceSettings`
+        describes.  An unusable ``store_dir`` warns and leaves a
+        memory-only store, so a bad directory never stops a service."""
         try:
             return cls(
-                max_entries=max_entries or DEFAULT_MAX_ENTRIES,
-                directory=directory,
-                disk_max_entries=env_positive_int(RESULT_STORE_DISK_MAX_ENTRIES_ENV),
-                disk_max_bytes=env_positive_int(RESULT_STORE_DISK_MAX_BYTES_ENV),
+                max_entries=settings.store_max_entries,
+                directory=settings.store_dir,
+                disk_max_entries=settings.store_disk_max_entries,
+                disk_max_bytes=settings.store_disk_max_bytes,
             )
         except OSError as error:
             print(
-                f"warning: result store directory {str(directory)!r} is unusable "
+                f"warning: result store directory {settings.store_dir!r} is unusable "
                 f"({error}); result store disk tier disabled",
                 file=sys.stderr,
             )
-            return cls(max_entries=max_entries or DEFAULT_MAX_ENTRIES)
+            return cls(max_entries=settings.store_max_entries)
 
     # ------------------------------------------------------------------
     def path_for(self, request_hash: str) -> Optional[Path]:

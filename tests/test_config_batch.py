@@ -138,7 +138,7 @@ class TestDeriveMany:
         configs = [macro_b(), macro_b().with_updates(adc_resolution=6)]
         layers = [_layer(), _layer(repeats=8)]
         tables = cache.derive_many(configs, layers)
-        assert cache.misses == 4 and cache.derivations == 4 and cache.hits == 0
+        assert cache.misses == 4 and cache.hits == 0
         assert len(cache) == 4
         scalar = PerActionEnergyCache()
         for row, config in enumerate(configs):
@@ -155,9 +155,9 @@ class TestDeriveMany:
         configs = [macro_b(), macro_d()]
         layers = [_layer()]
         first = cache.derive_many(configs, layers)
-        baseline = cache.derivations
+        baseline = cache.misses
         second = cache.derive_many(configs, layers)
-        assert cache.derivations == baseline  # warm: zero new derivations
+        assert cache.misses == baseline  # warm: zero new derivations
         assert cache.hits == 2
         assert second[0][0] is first[0][0]  # the cached dicts themselves
 
@@ -166,7 +166,7 @@ class TestDeriveMany:
         layer = _layer()
         cache.get(CiMMacro(macro_b()), layer)  # scalar-derived entry
         tables = cache.derive_many([macro_b(), macro_d()], [layer])
-        assert cache.hits == 1 and cache.derivations == 2  # 1 scalar + 1 batched
+        assert cache.hits == 1 and cache.misses == 2  # 1 scalar + 1 batched
         assert tables[0][0] is cache.get(CiMMacro(macro_b()), layer)
 
     def test_duplicate_configs_derive_once(self):
@@ -175,7 +175,6 @@ class TestDeriveMany:
         cache = PerActionEnergyCache()
         config = macro_b()
         tables = cache.derive_many([config, config], [_layer()])
-        assert cache.derivations == 1
         assert cache.misses == 1 and cache.hits == 1
         assert tables[0][0] is tables[1][0]
 
@@ -186,7 +185,7 @@ class TestDeriveMany:
         layer = _layer()
         [[table]] = cache.derive_many([macro_d()], [layer])
         assert cache.get(CiMMacro(macro_d()), layer) is table
-        assert cache.hits == 1 and cache.derivations == 1
+        assert cache.hits == 1 and cache.misses == 1
 
 
 class TestAreaBatch:

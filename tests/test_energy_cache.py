@@ -107,9 +107,9 @@ class TestWorkerPersistentCache:
         shared = batch.process_energy_cache()
         runner = BatchRunner(workers=1)
         runner.mapping_search(macro_b(), [layer], 4)
-        baseline = shared.derivations
+        baseline = shared.misses
         runner.mapping_search(macro_b(), [layer], 4)
-        assert shared.derivations == baseline  # warm: zero new derivations
+        assert shared.misses == baseline  # warm: zero new derivations
 
     def test_repeated_grid_runs_derive_once(self):
         """Macro-only grid cells share the process cache, so re-running the
@@ -121,9 +121,9 @@ class TestWorkerPersistentCache:
         shared = batch.process_energy_cache()
         configs = [macro_b(), macro_b().with_updates(adc_resolution=6)]
         first = BatchRunner(workers=1).run_grid(configs, network)
-        baseline = shared.derivations
+        baseline = shared.misses
         second = BatchRunner(workers=1).run_grid(configs, network)
-        assert shared.derivations == baseline
+        assert shared.misses == baseline
         for a, b in zip(first, second):
             assert a.total_energy == b.total_energy
 
@@ -159,7 +159,7 @@ _DERIVE_IN_A_FRESH_PROCESS = textwrap.dedent("""
     cache.derive_many(configs, [layer])
     print(json.dumps({
         "term_tier": cache.terms is not None,
-        "derivations": cache.derivations,
+        "misses": cache.misses,
     }))
 """)
 
@@ -183,4 +183,4 @@ def test_removed_energy_cache_knobs_are_inert(tmp_path):
     assert probe.returncode == 0, probe.stderr
     written = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*"))
     report = json.loads(probe.stdout)
-    assert (report, written) == ({"term_tier": True, "derivations": 2}, [])
+    assert (report, written) == ({"term_tier": True, "misses": 2}, [])

@@ -76,7 +76,7 @@ class TestEnergyEquivalence:
             )
             assert batched.best_mapping == scalar.best_mapping
             assert batched.best_cost == pytest.approx(scalar.best_cost, rel=1e-12)
-        assert cache.derivations == 1  # one (config, layer): derived once
+        assert cache.misses == 1  # one (config, layer): derived once
 
     def test_per_candidate_energies_match_elementwise(self):
         """Every candidate's batched row equals the scalar lowering of its

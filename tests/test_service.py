@@ -23,6 +23,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from repro.service import (
 )
 from repro.service.http import error_envelope, error_status
 from repro.service.scheduler import evaluate_scalar
+from repro.service.settings import ServiceSettings
 from repro.service.replay import (
     evaluate_serial,
     generate_trace,
@@ -380,7 +382,7 @@ class TestResultStore:
     def test_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_STORE_DIR", str(tmp_path / "results"))
         monkeypatch.setenv("REPRO_RESULT_STORE_MAX_ENTRIES", "7")
-        store = ResultStore.from_env()
+        store = ResultStore.from_settings(ServiceSettings.from_env())
         assert store.max_entries == 7
         assert store.directory == tmp_path / "results"
 
@@ -390,20 +392,23 @@ class TestResultStore:
             monkeypatch.delenv("REPRO_RESULT_STORE_DIR", raising=False)
         else:
             monkeypatch.setenv("REPRO_RESULT_STORE_DIR", raw)
-        store = ResultStore.from_env()
+        store = ResultStore.from_settings(ServiceSettings.from_env())
         assert store.directory is None and store.path_for("h0") is None
 
     def test_a_store_dir_takes_the_place_of_the_env_directory(self, tmp_path, monkeypatch):
+        """What ``serve --store-dir`` does: the flag replaces the
+        directory of the settings read from the environment."""
         monkeypatch.setenv("REPRO_RESULT_STORE_DIR", str(tmp_path / "env"))
         monkeypatch.setenv("REPRO_RESULT_STORE_DISK_MAX_ENTRIES", "3")
-        store = ResultStore.from_env(tmp_path / "flag")
+        settings = replace(ServiceSettings.from_env(), store_dir=str(tmp_path / "flag"))
+        store = ResultStore.from_settings(settings)
         assert store.directory == tmp_path / "flag" and store.disk_max_entries == 3
         assert sorted(path.name for path in tmp_path.iterdir()) == ["flag"]
 
     def test_an_unusable_directory_leaves_a_memory_only_store(self, tmp_path, capsys):
         occupied = tmp_path / "occupied"
         occupied.write_text("a file, not a directory")
-        store = ResultStore.from_env(occupied)
+        store = ResultStore.from_settings(ServiceSettings(store_dir=str(occupied)))
         assert store.directory is None
         assert "result store disk tier disabled" in capsys.readouterr().err
         store.put("h0", {"value": 0})
@@ -421,14 +426,14 @@ class TestSchedulerCoalescing:
         # A geometry no other test uses, so the process-wide cache is cold.
         request = _request(workload="mvm_56x40")
         cache = process_energy_cache()
-        derivations_before = cache.derivations
+        misses_before = cache.misses
         results = scheduler.evaluate_batch([request] * 6)
         stats = scheduler.stats
         assert stats.submitted == 6
         assert stats.coalesced == 5
         assert stats.dispatched_requests == 1
         assert stats.dispatched_batches == 1
-        assert cache.derivations - derivations_before <= 1
+        assert cache.misses - misses_before <= 1
         assert all(result is results[0] for result in results)
 
     def test_distinct_configs_group_into_one_family_dispatch(self):
@@ -776,6 +781,9 @@ class TestHTTPService:
         assert "store" in health and "energy_cache" in health
         assert health["energy_cache"]["term_tier"] is not None
         assert "disk_tier" not in health["energy_cache"]
+        # Every miss derives once, so misses is the one derivation count.
+        assert "derivations" not in health["energy_cache"]
+        assert health["settings"] == ServiceSettings.from_env().as_dict()
 
     def test_batch_endpoint_coalesces_duplicates(self, server):
         body = {"macro": "base_macro", "workload": "mvm_32x32",

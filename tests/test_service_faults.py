@@ -32,6 +32,7 @@ from repro.service import (
     ShutdownError,
 )
 from repro.service.faults import FleetDegradedError
+from repro.service.settings import ServiceSettings
 from repro.service.shard import (
     FrameDecoder,
     RingEmptyError,
@@ -198,7 +199,7 @@ class TestDeadlines:
 # ----------------------------------------------------------------------
 class TestAdmissionControl:
     def test_queue_full_sheds_new_requests_but_not_duplicates(self):
-        scheduler = EvaluationScheduler(max_pending=2)
+        scheduler = EvaluationScheduler(settings=ServiceSettings(max_pending=2))
         first = _request(overrides={"adc_resolution": 4})
         futures = [
             scheduler.submit(first),
@@ -371,18 +372,23 @@ class TestChaos:
         assert injector.kill_at == {100, 200, 300}
         assert ChaosInjector(ChaosConfig(kills=3)).kill_at == set()
 
-    def test_from_env_requires_the_flag(self, monkeypatch):
+    def test_from_env_requires_the_flag(self, monkeypatch, capsys):
+        """Ambient chaos arms a scheduler only with ``REPRO_CHAOS`` on;
+        off, its seed and rate are not even read."""
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "seven")
         monkeypatch.delenv("REPRO_CHAOS_CORRUPT_ENTRY", raising=False)
-        assert ChaosInjector.from_env() is None
+        assert ServiceSettings.from_env().chaos is None
+        assert EvaluationScheduler().chaos is None
+        assert "warning" not in capsys.readouterr().err
+        monkeypatch.delenv("REPRO_CHAOS_SEED")
         monkeypatch.setenv("REPRO_CHAOS", "1")
-        assert ChaosInjector.from_env().config == ChaosConfig(
+        assert EvaluationScheduler().chaos.config == ChaosConfig(
             corrupt_entry=ChaosConfig.preset().corrupt_entry
         )
         monkeypatch.setenv("REPRO_CHAOS_SEED", "7")
         monkeypatch.setenv("REPRO_CHAOS_CORRUPT_ENTRY", "0.5")
-        injector = ChaosInjector.from_env()
+        injector = EvaluationScheduler().chaos
         assert injector.config == ChaosConfig(seed=7, corrupt_entry=0.5)
 
     def test_corrupt_entry_injection_exercises_quarantine_and_recompute(
@@ -633,7 +639,8 @@ class TestFleetHTTPFaultMapping(TestHTTPFaultMapping):
 
     @pytest.fixture(scope="class")
     def fleet_frontend(self, tmp_path_factory):
-        fleet = ShardFleet(shards=1, store_dir=str(tmp_path_factory.mktemp("faults")))
+        fleet = ShardFleet(shards=1, settings=ServiceSettings(
+            store_dir=str(tmp_path_factory.mktemp("faults"))))
         frontend = serve_sharded(fleet=fleet, port=0, supervise=False).start()
         yield frontend
         fleet.close()

@@ -28,6 +28,7 @@ from repro.service.faults import FaultError, FleetDegradedError
 from repro.service.http import error_envelope, error_status
 from repro.service.requests import EvaluationRequest, ServiceError
 from repro.service.scheduler import evaluate_scalar
+from repro.service.settings import ServiceSettings
 from repro.service.shard import (
     HEARTBEAT_ID,
     FleetSupervisor,
@@ -45,6 +46,16 @@ from repro.service.shard.worker import _ReplySender
 #: 400 ms of silence — orders of magnitude below any EOF-free hang.
 HEARTBEAT_INTERVAL_S = 0.05
 DETECT_TIMEOUT_S = 0.4
+
+
+def _settings(tmp_path, **fields):
+    """A test fleet's settings: fast liveness, a shared disk tier."""
+    return ServiceSettings(**{
+        "store_dir": str(tmp_path / "store"),
+        "heartbeat_interval_s": HEARTBEAT_INTERVAL_S,
+        "heartbeat_timeout_s": DETECT_TIMEOUT_S,
+        **fields,
+    })
 
 
 def _request(index=0, objective="energy"):
@@ -67,20 +78,23 @@ def _wait(predicate, timeout=15.0, interval=0.01):
 
 @pytest.fixture
 def fleet(tmp_path):
-    fleet = ShardFleet(
-        shards=2,
-        store_dir=str(tmp_path / "store"),
-        heartbeat_interval_s=HEARTBEAT_INTERVAL_S,
-    )
+    fleet = ShardFleet(shards=2, settings=_settings(tmp_path))
+    yield fleet
+    fleet.close()
+
+
+@pytest.fixture
+def slow_detector_fleet(tmp_path):
+    """A fleet whose detector waits 60 s for a missed heartbeat, so a
+    stopped shard is found by its channel's EOF, not by the timeout."""
+    fleet = ShardFleet(shards=2, settings=_settings(tmp_path, heartbeat_timeout_s=60.0))
     yield fleet
     fleet.close()
 
 
 @pytest.fixture
 def supervised(fleet):
-    supervisor = FleetSupervisor(
-        fleet, heartbeat_timeout_s=DETECT_TIMEOUT_S
-    ).start()
+    supervisor = FleetSupervisor(fleet).start()
     return fleet, supervisor
 
 
@@ -252,14 +266,15 @@ class TestCrashRecovery:
         assert future.result(timeout=180) == evaluate_scalar(request)
         assert _wait(lambda: supervisor.detected_failures >= 1, timeout=10.0)
 
-    def test_owner_dying_during_a_recovery_loses_nothing(self, fleet):
+    def test_owner_dying_during_a_recovery_loses_nothing(self, slow_detector_fleet):
         """A recovered op's new owner may die before the op reaches it;
         that owner's recovery is queued behind the running one on the
         same thread, so the running recovery must perform it, not wait
         for it."""
+        fleet = slow_detector_fleet
         # Not started: recoveries run on this thread, as on the
         # supervisor's, and channel deaths only queue.
-        supervisor = FleetSupervisor(fleet, heartbeat_timeout_s=60.0)
+        supervisor = FleetSupervisor(fleet)
         fleet.attach_supervisor(supervisor)
         victim_id, victim = fleet.serving_clients()[0]
         requests = [
@@ -293,15 +308,8 @@ class TestCrashRecovery:
         assert supervisor.detected_failures == 2
 
     def test_quorum_loss_degrades_and_live_add_restores(self, tmp_path):
-        fleet = ShardFleet(
-            shards=1,
-            store_dir=str(tmp_path / "store"),
-            heartbeat_interval_s=HEARTBEAT_INTERVAL_S,
-        )
-        supervisor = FleetSupervisor(
-            fleet, heartbeat_timeout_s=DETECT_TIMEOUT_S,
-            min_quorum=1, respawn=False,
-        ).start()
+        fleet = ShardFleet(shards=1, settings=_settings(tmp_path, min_quorum=1))
+        supervisor = FleetSupervisor(fleet, respawn=False).start()
         try:
             _, client = fleet.serving_clients()[0]
             os.kill(client.process.pid, signal.SIGKILL)
@@ -318,14 +326,8 @@ class TestCrashRecovery:
             fleet.close()
 
     def test_restart_budget_bounds_respawns(self, tmp_path):
-        fleet = ShardFleet(
-            shards=2,
-            store_dir=str(tmp_path / "store"),
-            heartbeat_interval_s=HEARTBEAT_INTERVAL_S,
-        )
-        supervisor = FleetSupervisor(
-            fleet, heartbeat_timeout_s=DETECT_TIMEOUT_S, restart_budget=1,
-        ).start()
+        fleet = ShardFleet(shards=2, settings=_settings(tmp_path, restart_budget=1))
+        supervisor = FleetSupervisor(fleet).start()
         try:
             for round_index in range(2):
                 _, client = fleet.serving_clients()[0]
@@ -445,11 +447,14 @@ class TestBatchedSubmission:
         assert fleet.coalesced == 0
         assert outcomes[1].result(timeout=180) == evaluate_scalar(plain)
 
-    def test_sigkill_with_a_multi_member_frame_in_flight_loses_nothing(self, fleet):
+    def test_sigkill_with_a_multi_member_frame_in_flight_loses_nothing(
+        self, slow_detector_fleet
+    ):
         # A long heartbeat timeout: the stopped shard must be found by
         # the SIGKILL's channel EOF, not declared dead before the frame
         # is parked on it.
-        supervisor = FleetSupervisor(fleet, heartbeat_timeout_s=60.0).start()
+        fleet = slow_detector_fleet
+        supervisor = FleetSupervisor(fleet).start()
         victim_id, victim = fleet.serving_clients()[0]
         requests = [
             EvaluationRequest(
@@ -478,7 +483,8 @@ class TestBatchedSubmission:
         # Forked workers inherit the limit: every frame either way must
         # fit ~3 results, so a set of 8 hits must come back split.
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 3000)
-        fleet = ShardFleet(shards=1, store_dir=str(tmp_path / "store"))
+        fleet = ShardFleet(shards=1, settings=ServiceSettings(
+            store_dir=str(tmp_path / "store")))
         try:
             requests = [
                 EvaluationRequest(macro="macro_b", workload="mvm_64x64",
@@ -526,11 +532,9 @@ def _http(port, method, path, payload=None):
 
 class TestFleetHits:
     def test_hits_are_answered_by_the_parent_tier_and_never_cross_the_wire(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
-        monkeypatch.setenv("REPRO_RESULT_STORE_MAX_ENTRIES", "8")
-        fleet = ShardFleet(shards=2, store_dir=str(tmp_path / "store"),
-                           heartbeat_interval_s=HEARTBEAT_INTERVAL_S)
+        fleet = ShardFleet(shards=2, settings=_settings(tmp_path, store_max_entries=8))
         frontend = serve_sharded(fleet=fleet, port=0, supervise=False).start()
         try:
             evicted = [_request(i, "area") for i in range(4)]

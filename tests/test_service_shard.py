@@ -14,12 +14,14 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
 from repro.service.http import error_status
 from repro.service.requests import EvaluationRequest
-from repro.service.scheduler import evaluate_scalar
+from repro.service.scheduler import EvaluationScheduler, evaluate_scalar
+from repro.service.settings import ServiceSettings
 from repro.service.shard import (
     READY_ID,
     FrameDecoder,
@@ -213,7 +215,8 @@ class TestChannelIntegrity:
     def test_worker_gives_undeliverable_frames_the_same_typed_handling(self, tmp_path):
         parent, child = socket.socketpair()
         process = multiprocessing.Process(
-            target=_worker_main, args=(child, "shard-t", {"store_dir": str(tmp_path)}),
+            target=_worker_main,
+            args=(child, "shard-t", {"settings": ServiceSettings(store_dir=str(tmp_path))}),
             daemon=True,
         )
         process.start()
@@ -252,9 +255,9 @@ class TestChannelIntegrity:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fleet(tmp_path_factory):
-    fleet = ShardFleet(
-        shards=2, store_dir=str(tmp_path_factory.mktemp("shared-store"))
-    )
+    fleet = ShardFleet(shards=2, settings=ServiceSettings(
+        store_dir=str(tmp_path_factory.mktemp("shared-store"))
+    ))
     yield fleet
     fleet.close()
 
@@ -328,7 +331,7 @@ class TestShardFleet:
 
 class TestDrainAndAdd:
     def test_drain_under_load_loses_zero_requests(self, tmp_path):
-        fleet = ShardFleet(shards=2, store_dir=str(tmp_path))
+        fleet = ShardFleet(shards=2, settings=ServiceSettings(store_dir=str(tmp_path)))
         try:
             requests = [_request(index) for index in range(4)] * 4
             futures = [fleet.submit(request) for request in requests]
@@ -351,7 +354,7 @@ class TestDrainAndAdd:
             fleet.close()
 
     def test_drained_shards_disk_entries_survive_via_shared_tier(self, tmp_path):
-        fleet = ShardFleet(shards=2, store_dir=str(tmp_path))
+        fleet = ShardFleet(shards=2, settings=ServiceSettings(store_dir=str(tmp_path)))
         try:
             request = _request(1)
             expected = fleet.submit(request).result(timeout=180)
@@ -365,7 +368,7 @@ class TestDrainAndAdd:
             fleet.close()
 
     def test_live_add_joins_the_ring_after_ready(self, tmp_path):
-        fleet = ShardFleet(shards=1, store_dir=str(tmp_path))
+        fleet = ShardFleet(shards=1, settings=ServiceSettings(store_dir=str(tmp_path)))
         try:
             before = fleet.members()
             added = fleet.add_shard()
@@ -376,7 +379,7 @@ class TestDrainAndAdd:
             fleet.close()
 
     def test_draining_an_unknown_shard_raises(self, tmp_path):
-        fleet = ShardFleet(shards=1, store_dir=str(tmp_path))
+        fleet = ShardFleet(shards=1, settings=ServiceSettings(store_dir=str(tmp_path)))
         try:
             with pytest.raises(ValueError):
                 fleet.begin_drain("shard-99")
@@ -385,9 +388,10 @@ class TestDrainAndAdd:
 
 
 class TestWorkerStore:
-    """A worker given the fleet's store directory builds its store like
-    ``ResultStore.from_env``: only the directory comes from the fleet,
-    every ``REPRO_RESULT_STORE_*`` bound from the environment."""
+    """A worker builds its store from the fleet's settings, shipped in
+    its spawn options: the directory and every bound come from the
+    parent, which read the environment once (as ``serve --store-dir``
+    does), never from the worker's own environment."""
 
     @pytest.mark.parametrize("disk_bound", [
         "REPRO_RESULT_STORE_DISK_MAX_ENTRIES",
@@ -396,7 +400,8 @@ class TestWorkerStore:
     def test_store_dir_keeps_the_env_bounds(self, tmp_path, monkeypatch, disk_bound):
         monkeypatch.setenv("REPRO_RESULT_STORE_MAX_ENTRIES", "7")
         monkeypatch.setenv(disk_bound, "1")
-        fleet = ShardFleet(shards=1, store_dir=str(tmp_path))
+        settings = replace(ServiceSettings.from_env(), store_dir=str(tmp_path))
+        fleet = ShardFleet(shards=1, settings=settings)
         try:
             for index in range(2):
                 fleet.submit(_request(index)).result(timeout=180)
@@ -408,6 +413,58 @@ class TestWorkerStore:
         # Either disk bound at 1 keeps only the newest entry.
         assert len(list(tmp_path.glob("result-*.json"))) == 1
         assert store["disk_evictions"] == 1
+
+
+class TestFleetSettings:
+    """One settings object configures the parent tier, every worker and
+    the supervisor, and ``/healthz`` shows it on both deployments."""
+
+    def test_workers_take_the_fleet_settings_not_their_environment(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_RESULT_STORE_MAX_ENTRIES", "9")
+        settings = ServiceSettings(store_max_entries=7, store_dir=str(tmp_path))
+        fleet = ShardFleet(shards=2, settings=settings)
+        frontend = serve_sharded(fleet=fleet, port=0, supervise=False).start()
+        try:
+            status, health = _call(frontend, "GET", "/healthz")
+            assert status == 200
+            assert health["settings"] == settings.as_dict()
+            assert health["frontend_store"]["max_entries"] == 7
+            assert set(health["shards"]) == {"shard-0", "shard-1"}
+            for shard_id, payload in health["shards"].items():
+                assert payload["store"]["max_entries"] == 7
+                status, shard = _call(frontend, "GET", f"/shards/{shard_id}/healthz")
+                assert status == 200 and shard["settings"] == health["settings"]
+        finally:
+            frontend.shutdown()
+            fleet.close()
+
+    def test_both_deployments_report_one_settings_object(self, tmp_path):
+        from repro.service.http import serve
+
+        settings = ServiceSettings(
+            max_pending=64, store_max_entries=7, store_dir=str(tmp_path),
+            heartbeat_interval_s=0.5, restart_budget=0,
+        )
+        scheduler = EvaluationScheduler(settings=settings)
+        single = serve("127.0.0.1", 0, scheduler=scheduler).start()
+        fleet = ShardFleet(shards=1, settings=settings)
+        sharded = serve_sharded(fleet=fleet, port=0).start()
+        try:
+            _, single_health = _call(single, "GET", "/healthz")
+            _, fleet_health = _call(sharded, "GET", "/healthz")
+        finally:
+            scheduler.close()
+            single.shutdown()
+            sharded.shutdown()
+            fleet.close()
+        assert single_health["settings"] == fleet_health["settings"] == settings.as_dict()
+        assert fleet_health["shards"]["shard-0"]["settings"] == settings.as_dict()
+        supervisor = fleet_health["supervisor"]
+        assert supervisor["heartbeat_interval_s"] == 0.5
+        assert supervisor["heartbeat_timeout_s"] == settings.detector_timeout_s == 4.0
+        assert supervisor["restart_budget"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -576,7 +633,7 @@ class TestAsyncFrontend:
         assert errors == []
 
     def test_http_drain_and_add_cycle(self, tmp_path):
-        fleet = ShardFleet(shards=2, store_dir=str(tmp_path))
+        fleet = ShardFleet(shards=2, settings=ServiceSettings(store_dir=str(tmp_path)))
         frontend = serve_sharded(fleet=fleet, port=0, supervise=False).start()
         try:
             victim = fleet.members()[0]
